@@ -31,7 +31,7 @@ from .evaluation import (
     split,
     timing_experiment,
 )
-from .features import encode_dataset, fit_schema
+from .features import encode_dataset, fit_schema, standardize
 from .io import load_students
 from .labeling import LabeledDataset, OutcomeLabel, balance, label_all
 from .models import (
@@ -43,6 +43,7 @@ from .models import (
     train_forest,
     train_logistic,
 )
+from .synthetic import cohort_paths
 
 SUBCOMMANDS = ("generate", "label", "featurize", "train", "evaluate", "screen", "timing", "pipeline")
 
@@ -97,18 +98,12 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _data_paths(cfg: RunConfig) -> dict[str, Path]:
-    d = Path(cfg.data_dir)
-    return {
-        "students": d / "students.csv",
-        "transcripts": d / "transcripts.csv",
-        "degrees": d / "degrees.csv",
-        "ground_truth": d / "ground_truth.csv",
-    }
+def _cohort_inputs(cfg: RunConfig) -> list[Path]:
+    return [p for p in cohort_paths(cfg.data_dir).values() if p.exists()]
 
 
 def _load_cohort(stage: str, cfg: RunConfig):
-    paths = _data_paths(cfg)
+    paths = cohort_paths(cfg.data_dir)
     for key in ("students", "transcripts", "degrees"):
         _require(stage, paths[key], "generate")
     return load_students(paths["students"], paths["transcripts"], paths["degrees"])
@@ -152,16 +147,6 @@ def _read_schema_meta(stage: str, cfg: RunConfig) -> dict:
         return json.load(fh)
 
 
-def _standardize_with(meta: dict, x: np.ndarray) -> np.ndarray:
-    means = np.array(meta["means"])
-    sds = np.array(meta["sds"])
-    mask = np.array(meta["standardized"], dtype=bool)
-    out = np.array(x, copy=True)
-    safe = np.where(sds > 0, sds, 1.0)
-    out[:, mask] = np.where(sds[mask] > 0, (out[:, mask] - means[mask]) / safe[mask], 0.0)
-    return out
-
-
 def _matrices(stage: str, cfg: RunConfig):
     """Shared loading path for train/evaluate/screen: raw + standardized matrices."""
     ids, x_raw = _read_features(stage, cfg)
@@ -170,7 +155,7 @@ def _matrices(stage: str, cfg: RunConfig):
     meta = _read_schema_meta(stage, cfg)
     y = np.array([0.0 if labels[i].graduated else 1.0 for i in ids])
     part = np.array([parts[i] for i in ids])
-    x_std = _standardize_with(meta, x_raw)
+    x_std = standardize(x_raw, meta["means"], meta["sds"], meta["standardized"])
     return ids, x_raw, x_std, y, part == "train", meta
 
 
@@ -198,8 +183,7 @@ def stage_label(cfg: RunConfig) -> list[Path]:
             writer.writerow(
                 [student.student_id, int(lab.graduated), lab.quarters_enrolled, lab.window_allowance]
             )
-    inputs = [p for p in _data_paths(cfg).values() if p.exists()]
-    _manifest_line(cfg, "label", inputs, [out])
+    _manifest_line(cfg, "label", _cohort_inputs(cfg), [out])
     return [out]
 
 
@@ -231,7 +215,7 @@ def stage_featurize(cfg: RunConfig) -> list[Path]:
         for sid in ids:
             writer.writerow([sid, "train" if sid in train_ids else "test"])
 
-    inputs = [p for p in _data_paths(cfg).values() if p.exists()] + [out_dir / "labels.csv"]
+    inputs = _cohort_inputs(cfg) + [out_dir / "labels.csv"]
     outputs = [features_path, schema_path, split_path]
     _manifest_line(cfg, "featurize", inputs, outputs)
     return outputs
@@ -343,7 +327,7 @@ def stage_timing(cfg: RunConfig) -> list[Path]:
     )
     out = Path(cfg.out_dir) / "timing.json"
     _write_json(out, report.to_dict())
-    inputs = [p for p in _data_paths(cfg).values() if p.exists()] + [Path(cfg.out_dir) / "labels.csv"]
+    inputs = _cohort_inputs(cfg) + [Path(cfg.out_dir) / "labels.csv"]
     _manifest_line(cfg, "timing", inputs, [out])
     return [out]
 

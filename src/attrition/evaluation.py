@@ -29,9 +29,6 @@ from .models import (
     train_ridge,
 )
 
-MODEL_KINDS = ("logistic_regression", "random_forest", "knn")
-
-
 @dataclass(frozen=True)
 class ModelEval:
     accuracy: float
@@ -210,11 +207,14 @@ def cv_tune(
         fold_scores = []
         for f, va in enumerate(fold_idx):
             tr = np.setdiff1d(all_rows, va, assume_unique=True)
-            scores = _fit_and_score(kind, value, x[tr], y[tr], x[va], forest_seeds[f], params)
-            if metric == "auc":
-                _, fold_score = roc_and_auc(scores, y[va])
-            else:
-                fold_score = float(np.sqrt(np.mean((scores - y[va]) ** 2)))
+            try:
+                scores = _fit_and_score(kind, value, x[tr], y[tr], x[va], forest_seeds[f], params)
+                if metric == "auc":
+                    _, fold_score = roc_and_auc(scores, y[va])
+                else:
+                    fold_score = _rmse(scores - y[va])
+            except ValueError as exc:
+                raise ValueError(f"{kind} fold {f + 1}/{folds}: {exc}") from exc
             fold_scores.append(fold_score)
         mean_score = float(np.mean(fold_scores))
         means[value] = mean_score

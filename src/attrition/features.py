@@ -79,25 +79,48 @@ def department_tuple(
 ) -> tuple[int, float, int, float | None]:
     """(took, credits, classes, gpa) for one department over first-term entries.
 
-    Credits and class counts include pass/fail entries; the GPA is the
-    credit-weighted mean over graded entries only, None when there are none.
+    Credits and class counts include pass/fail entries; the GPA is
+    :func:`credit_weighted_gpa` of the department's entries.
     """
-    took = 0
+    mine = [e for e in entries if e.department == dept]
     credits = 0.0
-    classes = 0
-    graded_credits = 0.0
-    graded_points = 0.0
-    for e in entries:
-        if e.department != dept:
-            continue
-        took = 1
+    for e in mine:
         credits += e.credits
-        classes += 1
+    return (1 if mine else 0), credits, len(mine), credit_weighted_gpa(mine)
+
+
+def credit_weighted_gpa(entries: Sequence[TranscriptEntry]) -> float | None:
+    """Credit-weighted mean grade over graded entries with credits; None when there are none."""
+    credits = 0.0
+    points = 0.0
+    for e in entries:
         if e.grade is not None and e.credits > 0:
-            graded_credits += e.credits
-            graded_points += e.credits * e.grade
-    gpa = graded_points / graded_credits if graded_credits > 0 else None
-    return took, credits, classes, gpa
+            credits += e.credits
+            points += e.credits * e.grade
+    return points / credits if credits > 0 else None
+
+
+def _demographic_onehots(s: StudentRecord, residency_labels: Sequence[str]) -> list[float]:
+    """Race, gender, residency and previous-schooling one-hots, then the hispanic flag."""
+    d = s.demographics
+    row = [1.0 if d.race == r else 0.0 for r in RACES]
+    row += [1.0 if d.gender == g else 0.0 for g in GENDERS]
+    row += [1.0 if d.residency == r else 0.0 for r in residency_labels]
+    row += [1.0 if s.entry.previous_schooling == p else 0.0 for p in PREVIOUS_SCHOOLING]
+    row.append(1.0 if d.hispanic else 0.0)
+    return row
+
+
+def standardize(
+    x: np.ndarray, means: Sequence[float], sds: Sequence[float], mask: Sequence[bool]
+) -> np.ndarray:
+    """Z-score the masked columns (last axis) with the given stats; zero-spread columns become 0."""
+    means, sds = np.asarray(means, dtype=float), np.asarray(sds, dtype=float)
+    mask = np.asarray(mask, dtype=bool)
+    out = np.array(x, dtype=float, copy=True)
+    safe_sd = np.where(sds > 0, sds, 1.0)
+    out[..., mask] = np.where(sds[mask] > 0, (out[..., mask] - means[mask]) / safe_sd[mask], 0.0)
+    return out
 
 
 def gatekeeper_entries(
@@ -134,15 +157,8 @@ class Imputer:
         }
 
     def _base_row(self, s: StudentRecord) -> list[float]:
-        d = s.demographics
-        row = [1.0]
-        row += [1.0 if d.race == r else 0.0 for r in RACES]
-        row += [1.0 if d.gender == g else 0.0 for g in GENDERS]
-        row += [1.0 if d.residency == r else 0.0 for r in self.residency_labels]
-        row += [1.0 if s.entry.previous_schooling == p else 0.0 for p in PREVIOUS_SCHOOLING]
-        row.append(1.0 if d.hispanic else 0.0)
-        row.append(float(d.birth_year - 1980))
-        return row
+        onehots = _demographic_onehots(s, self.residency_labels)
+        return [1.0] + onehots + [float(s.demographics.birth_year - 1980)]
 
     def fit(self, students: Sequence[StudentRecord]) -> "Imputer":
         sat_rows = [s for s in students if s.entry.sat_score is not None]
@@ -279,18 +295,7 @@ class FeatureSchema:
 
     def standardize(self, x: np.ndarray) -> np.ndarray:
         """Z-score numeric columns with training stats; dummies pass through."""
-        out = np.array(x, dtype=float, copy=True)
-        mask = np.array([d.standardize for d in self.descriptors])
-        safe_sd = np.where(self.sds > 0, self.sds, 1.0)
-        if out.ndim == 1:
-            out[mask] = np.where(
-                self.sds[mask] > 0, (out[mask] - self.means[mask]) / safe_sd[mask], 0.0
-            )
-        else:
-            out[:, mask] = np.where(
-                self.sds[mask] > 0, (out[:, mask] - self.means[mask]) / safe_sd[mask], 0.0
-            )
-        return out
+        return standardize(x, self.means, self.sds, [d.standardize for d in self.descriptors])
 
     def content_hash(self) -> str:
         payload = {
@@ -325,14 +330,6 @@ class FeatureSchema:
             fh.write("\n")
 
 
-def _pooled_gpa(entries: Sequence[TranscriptEntry]) -> float | None:
-    credits = sum(e.credits for e in entries if e.grade is not None and e.credits > 0)
-    if credits <= 0:
-        return None
-    points = sum(e.credits * e.grade for e in entries if e.grade is not None and e.credits > 0)
-    return points / credits
-
-
 def fit_schema(train: LabeledDataset, config: FeatureConfig | None = None) -> FeatureSchema:
     """Fit vocabularies, imputer, GPA fallbacks, and z-score stats on training data."""
     cfg = config or FeatureConfig()
@@ -342,15 +339,14 @@ def fit_schema(train: LabeledDataset, config: FeatureConfig | None = None) -> Fe
     major_counts: dict[str, int] = {}
     dept_entries: dict[str, list[TranscriptEntry]] = {}
     gate_entries: dict[str, list[TranscriptEntry]] = {g: [] for g in cfg.gatekeeper_departments}
-    all_graded: list[TranscriptEntry] = []
+    all_first: list[TranscriptEntry] = []
     for student, _ in train.records:
         for m in student.entry.first_term_majors:
             major_counts[m] = major_counts.get(m, 0) + 1
         first = student.first_term_entries()
+        all_first.extend(first)
         for e in first:
             dept_entries.setdefault(e.department, []).append(e)
-            if e.grade is not None:
-                all_graded.append(e)
         for group, dept in cfg.gatekeeper_departments.items():
             gate_entries[group].extend(gatekeeper_entries(first, dept, cfg.gatekeeper_range))
 
@@ -358,53 +354,37 @@ def fit_schema(train: LabeledDataset, config: FeatureConfig | None = None) -> Fe
     major_vocab = tuple(ranked[: cfg.major_vocab_size])
     department_vocab = tuple(sorted(dept_entries))
 
-    global_gpa = _pooled_gpa(all_graded)
+    global_gpa = credit_weighted_gpa(all_first)
     global_gpa = 0.0 if global_gpa is None else global_gpa
-    dept_gpa_means = {}
-    for d, entries in dept_entries.items():
-        pooled = _pooled_gpa(entries)
-        dept_gpa_means[d] = global_gpa if pooled is None else pooled
-    gatekeeper_gpa_means = {}
-    for g, entries in gate_entries.items():
-        pooled = _pooled_gpa(entries)
-        gatekeeper_gpa_means[g] = global_gpa if pooled is None else pooled
 
-    imputer = Imputer(cfg.imputation_mode, tuple(cfg.residency_labels))
-    imputer.fit([s for s, _ in train.records])
+    def pooled(entries: list[TranscriptEntry]) -> float:
+        gpa = credit_weighted_gpa(entries)
+        return global_gpa if gpa is None else gpa
+
+    dept_gpa_means = {d: pooled(entries) for d, entries in dept_entries.items()}
+    gatekeeper_gpa_means = {g: pooled(entries) for g, entries in gate_entries.items()}
 
     schema = FeatureSchema(
-        cfg, major_vocab, department_vocab, imputer,
+        cfg, major_vocab, department_vocab, fit_imputer(train, cfg.imputation_mode, cfg),
         dept_gpa_means, gatekeeper_gpa_means, global_gpa,
     )
-    raw = np.array([encode(s, schema, standardize=False) for s, _ in train.records])
+    raw = np.array([encode(s, schema) for s, _ in train.records])
     schema.means = raw.mean(axis=0)
     schema.sds = raw.std(axis=0)
     return schema
 
 
-def encode(
-    student: StudentRecord,
-    schema: FeatureSchema,
-    imputer: Imputer | None = None,
-    standardize: bool = True,
-) -> np.ndarray:
-    """Encode one student against a fitted schema; pure given its inputs."""
-    imp = imputer or schema.imputer
+def encode(student: StudentRecord, schema: FeatureSchema) -> np.ndarray:
+    """Raw (unstandardized) feature row of one student; pure given its inputs."""
     cfg = schema.config
-    d = student.demographics
     first = student.first_term_entries()
 
-    values: list[float] = []
-    values += [1.0 if d.race == r else 0.0 for r in RACES]
-    values += [1.0 if d.gender == g else 0.0 for g in GENDERS]
-    values += [1.0 if d.residency == r else 0.0 for r in cfg.residency_labels]
-    values += [1.0 if student.entry.previous_schooling == p else 0.0 for p in PREVIOUS_SCHOOLING]
-    values.append(1.0 if d.hispanic else 0.0)
-    values.append(float(d.birth_year))
+    values = _demographic_onehots(student, cfg.residency_labels)
+    values.append(float(student.demographics.birth_year))
     values.append(float(student.first_term.year))
     values += [1.0 if student.first_term.quarter == q else 0.0 for q in QUARTERS]
-    values.append(imp.sat(student))
-    values.append(imp.act(student))
+    values.append(schema.imputer.sat(student))
+    values.append(schema.imputer.act(student))
     declared = set(student.entry.first_term_majors)
     values += [1.0 if m in declared else 0.0 for m in schema.major_vocab]
     for dept in schema.department_vocab:
@@ -423,10 +403,7 @@ def encode(
     values.append(1.0 if any(e.remedial for e in first) else 0.0)
     values.append(1.0 if student.entry.fig_member else 0.0)
 
-    vec = np.array(values, dtype=float)
-    if standardize:
-        vec = schema.standardize(vec)
-    return vec
+    return np.array(values, dtype=float)
 
 
 def encode_dataset(
@@ -434,6 +411,8 @@ def encode_dataset(
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
     """(student_ids, X, y) where y = 1 marks non-completion (the positive class)."""
     ids = [s.student_id for s, _ in ds.records]
-    x = np.array([encode(s, schema, standardize=standardize) for s, _ in ds.records])
+    x = np.array([encode(s, schema) for s, _ in ds.records])
+    if standardize:
+        x = schema.standardize(x)
     y = np.array([0.0 if lab.graduated else 1.0 for _, lab in ds.records])
     return ids, x, y

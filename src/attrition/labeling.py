@@ -54,7 +54,7 @@ def enrollment_terms(student: StudentRecord) -> list[Term]:
     return sorted(seen)
 
 
-def window_allowance(student: StudentRecord, degree_credits: float = DEFAULT_DEGREE_CREDITS) -> int:
+def window_allowance(transfer_credits: float, degree_credits: float = DEFAULT_DEGREE_CREDITS) -> int:
     """Quarters allowed for completion after transfer-credit adjustment.
 
     Transferred credits are converted to quarters at degree_credits / 12
@@ -64,13 +64,13 @@ def window_allowance(student: StudentRecord, degree_credits: float = DEFAULT_DEG
     if degree_credits <= 0:
         raise ValueError(f"degree_credits must be positive, got {degree_credits}")
     per_quarter = degree_credits / QUARTERS_TO_DEGREE
-    transferred_quarters = math.floor(student.entry.transfer_credits / per_quarter + 0.5)
+    transferred_quarters = math.floor(transfer_credits / per_quarter + 0.5)
     return max(1, BASE_WINDOW_QUARTERS - transferred_quarters)
 
 
 def label_outcome(student: StudentRecord, degree_credits: float = DEFAULT_DEGREE_CREDITS) -> OutcomeLabel:
     """Binary completion outcome plus enrolled-quarter count for one student."""
-    allowance = window_allowance(student, degree_credits)
+    allowance = window_allowance(student.entry.transfer_credits, degree_credits)
     first = term_index(student.first_term)
     graduated = any(term_index(d) - first <= allowance for d in student.degree_terms)
     return OutcomeLabel(

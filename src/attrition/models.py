@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -512,13 +512,7 @@ def model_to_dict(model: Model) -> dict:
         "kind": "forest",
         "seed": int(model.seed),
         "n_features": int(model.n_features),
-        "params": {
-            "n_trees": model.params.n_trees,
-            "max_depth": model.params.max_depth,
-            "features_per_split": model.params.features_per_split,
-            "min_samples_split": model.params.min_samples_split,
-            "min_samples_leaf": model.params.min_samples_leaf,
-        },
+        "params": asdict(model.params),
         "trees": [
             {
                 "feature": [int(v) for v in t.feature],
@@ -551,7 +545,6 @@ def model_from_dict(payload: dict) -> Model:
             schema_hash=payload.get("schema_hash"),
         )
     if kind == "forest":
-        p = payload["params"]
         trees = [
             _Tree(
                 np.array(t["feature"], dtype=np.int64),
@@ -564,13 +557,7 @@ def model_from_dict(payload: dict) -> Model:
         ]
         return ForestModel(
             trees=trees,
-            params=ForestParams(
-                n_trees=p["n_trees"],
-                max_depth=p["max_depth"],
-                features_per_split=p["features_per_split"],
-                min_samples_split=p["min_samples_split"],
-                min_samples_leaf=p["min_samples_leaf"],
-            ),
+            params=ForestParams(**payload["params"]),
             seed=int(payload["seed"]),
             n_features=int(payload["n_features"]),
             schema_hash=payload.get("schema_hash"),

@@ -12,7 +12,6 @@ import functools
 from dataclasses import dataclass
 
 QUARTERS = ("winter", "spring", "summer", "autumn")
-SUMMER = "summer"
 
 RACES = (
     "AfricanAmerican",

@@ -31,15 +31,15 @@ of everything else and is the designated pure-noise feature.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from .features import credit_weighted_gpa
 from .io import write_degrees, write_students, write_transcripts
-from .labeling import BASE_WINDOW_QUARTERS
+from .labeling import window_allowance
 from .records import (
     DEFAULT_RESIDENCY_LABELS,
     GENDERS,
@@ -52,6 +52,8 @@ from .records import (
     Term,
     TranscriptEntry,
     make_student,
+    term_from_index,
+    term_index,
 )
 
 # First departments get recognizable codes so signal weights and gatekeeper
@@ -112,17 +114,13 @@ class SynthConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
         if self.timing_noise_sd < 0 or self.grade_noise_sd < 0:
             raise ValueError("noise standard deviations must be non-negative")
+        if self.degree_credits <= 0:
+            raise ValueError(f"degree_credits must be positive, got {self.degree_credits}")
         lo, hi = self.entry_year_range
         if lo > hi or lo < 1900:
             raise ValueError(f"bad entry_year_range {self.entry_year_range}")
         object.__setattr__(self, "entry_year_range", (int(lo), int(hi)))
         object.__setattr__(self, "signal_weights", dict(self.signal_weights))
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "SynthConfig":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return cls.from_dict(raw)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SynthConfig":
@@ -180,6 +178,7 @@ def _parse_signal_keys(cfg: SynthConfig, departments: tuple[str, ...]) -> dict[s
     return kinds
 
 
+# Not models._sigmoid: np.exp and math.exp differ in the last bit, and latent_risk must not move.
 def _sigmoid(x: float) -> float:
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
@@ -191,14 +190,13 @@ def _round_grade(g: float) -> float:
     return round(min(4.0, max(0.0, g)) * 10.0) / 10.0
 
 
-def _enrolled_offsets(rng: np.random.Generator, first_quarter: str, count: int) -> list[int]:
+def _enrolled_offsets(rng: np.random.Generator, first_index: int, count: int) -> list[int]:
     """Quarter offsets of enrolled terms: consecutive, usually skipping summer."""
     offsets = [0]
-    first_q = QUARTERS.index(first_quarter)
     off = 0
     while len(offsets) < count:
         off += 1
-        if QUARTERS[(first_q + off) % 4] == "summer" and rng.random() < 0.85:
+        if term_from_index(first_index + off).quarter == "summer" and rng.random() < 0.85:
             continue
         offsets.append(off)
     return offsets
@@ -257,18 +255,6 @@ def _draw_courses(
             TranscriptEntry(sid, term, dept, number, float(_CREDIT_CHOICES[credits[j]]), grade, mark, remedial)
         )
     return entries
-
-
-def _first_term_gpas(entries: list[TranscriptEntry]) -> dict[str, float]:
-    """Credit-weighted GPA over graded entries, per department."""
-    credit_sum: dict[str, float] = {}
-    point_sum: dict[str, float] = {}
-    for e in entries:
-        if e.grade is None:
-            continue
-        credit_sum[e.department] = credit_sum.get(e.department, 0.0) + e.credits
-        point_sum[e.department] = point_sum.get(e.department, 0.0) + e.credits * e.grade
-    return {d: point_sum[d] / credit_sum[d] for d in credit_sum if credit_sum[d] > 0}
 
 
 def generate_cohort(cfg: SynthConfig) -> tuple[list[StudentRecord], list[GroundTruth]]:
@@ -336,14 +322,14 @@ def generate_cohort(cfg: SynthConfig) -> tuple[list[StudentRecord], list[GroundT
             rng, cfg, departments, dept_index, signal_departments, difficulties,
             ability, sid, first_term, True, remedial_student,
         )
-        gpas = _first_term_gpas(first_entries)
 
         logit = base_logit
         for key, weight in cfg.signal_weights.items():
             kind = signal_kinds[key]
             if kind == "gpa":
                 dept = key.split(":", 1)[1]
-                value = gpas[dept] / 4.0 if dept in gpas else _NEUTRAL_GPA_SIGNAL
+                gpa = credit_weighted_gpa([e for e in first_entries if e.department == dept])
+                value = _NEUTRAL_GPA_SIGNAL if gpa is None else gpa / 4.0
             elif kind == "sat":
                 value = (sat_true - 400) / 1200.0
             elif kind == "act":
@@ -364,43 +350,38 @@ def generate_cohort(cfg: SynthConfig) -> tuple[list[StudentRecord], list[GroundT
         entry = EntryInfo(prev, sat_true if sat_observed else None, act_true if act_observed else None,
                           transfer_credits, declared, fig)
         demo = Demographics(race, gender, hispanic, residency, entry_year - entry_age)
-        allowance = BASE_WINDOW_QUARTERS
-        if transfer_credits > 0:
-            per_quarter = cfg.degree_credits / 12.0
-            allowance = max(1, BASE_WINDOW_QUARTERS - math.floor(transfer_credits / per_quarter + 0.5))
+        allowance = window_allowance(transfer_credits, cfg.degree_credits)
+        first_index = term_index(first_term)
 
         if is_dropout:
             quarters = int(min(24, max(1, round(cfg.timing_intercept + cfg.timing_slope * risk + timing_noise))))
-            offsets = _enrolled_offsets(rng, first_quarter, quarters)
+            offsets = _enrolled_offsets(rng, first_index, quarters)
             degree_terms: list[Term] = []
             if late_degree:
                 gap = int(rng.integers(1, 9))
-                degree_terms = [Term(*divmod_term(first_term, allowance + gap))]
+                degree_terms = [term_from_index(first_index + allowance + gap)]
             truths.append(GroundTruth(sid, risk, "nc", quarters))
         else:
             target = int(rng.normal(min(11.0, allowance * 0.8), 2.5))
             degree_offset = min(allowance, max(1, target))
-            offsets = [o for o in _enrolled_offsets(rng, first_quarter, degree_offset + 1) if o <= degree_offset]
-            degree_terms = [Term(*divmod_term(first_term, degree_offset))]
+            offsets = [o for o in _enrolled_offsets(rng, first_index, degree_offset + 1) if o <= degree_offset]
+            degree_terms = [term_from_index(first_index + degree_offset)]
             truths.append(GroundTruth(sid, risk, "grad", None))
 
         entries = list(first_entries)
-        base_index = 4 * first_term.year + QUARTERS.index(first_quarter)
         for off in offsets[1:]:
-            idx = base_index + off
-            term = Term(idx // 4, QUARTERS[idx % 4])
             entries.extend(
                 _draw_courses(rng, cfg, departments, dept_index, signal_departments, difficulties,
-                              ability, sid, term, False, False)
+                              ability, sid, term_from_index(first_index + off), False, False)
             )
         records.append(make_student(sid, demo, entry, entries, degree_terms))
     return records, truths
 
 
-def divmod_term(first: Term, offset: int) -> tuple[int, str]:
-    """(year, quarter) of the term `offset` quarters after `first`."""
-    idx = 4 * first.year + QUARTERS.index(first.quarter) + offset
-    return idx // 4, QUARTERS[idx % 4]
+def cohort_paths(directory: str | Path) -> dict[str, Path]:
+    """The cohort's CSV files inside `directory`, keyed by role, in write order."""
+    names = ("students", "transcripts", "degrees", "ground_truth")
+    return {name: Path(directory) / f"{name}.csv" for name in names}
 
 
 def write_cohort(
@@ -411,14 +392,8 @@ def write_cohort(
     """Write students/transcripts/degrees/ground_truth CSVs into `directory`."""
     if not records:
         raise ValueError("cannot write an empty cohort")
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "students": out / "students.csv",
-        "transcripts": out / "transcripts.csv",
-        "degrees": out / "degrees.csv",
-        "ground_truth": out / "ground_truth.csv",
-    }
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    paths = cohort_paths(directory)
     write_students(records, paths["students"])
     write_transcripts(records, paths["transcripts"])
     write_degrees(records, paths["degrees"])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -182,3 +183,20 @@ def test_unknown_config_field_is_an_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "unknown config fields" in captured.err
+
+
+def test_cv_failure_names_model_and_fold(tmp_path, capsys):
+    # 150 students leave some 10-fold validation blocks with one class only
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"synth": {"n_students": 150}}), encoding="utf-8")
+    out = tmp_path / "out"
+    data = tmp_path / "data"
+    for sub in ("generate", "label", "featurize"):
+        assert run([sub, "--config", path, "--data", data, "--out", out]) == 0
+    code = run(["train", "--config", path, "--data", data, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert re.fullmatch(
+        r"error: train: (logistic_regression|knn|random_forest) fold \d+/10: ROC needs both classes present\n",
+        captured.err,
+    )

@@ -177,7 +177,7 @@ def test_encode_one_hot_blocks_sum_to_one(cohort_small):
     schema = fit_schema(ds, FeatureConfig())
     blocks = one_hot_blocks(schema.config, schema)
     for s in records[:100]:
-        vec = encode(s, schema, standardize=False)
+        vec = encode(s, schema)
         for prefix, idx in blocks.items():
             assert vec[idx].sum() == 1.0, prefix
 
@@ -190,7 +190,7 @@ def test_unknown_major_encodes_to_zeros():
     ]
     schema = fit_schema(as_dataset(train), FeatureConfig())
     stranger = simple_student(sid="T", majors=("NOPE",))
-    vec = encode(stranger, schema, standardize=False)
+    vec = encode(stranger, schema)
     idx = [i for i, n in enumerate(schema.feature_names) if n.startswith("major=")]
     assert vec[idx].sum() == 0.0
 
@@ -247,7 +247,7 @@ def test_gatekeeper_features_match_restricted_department_tuple(cohort_small):
     schema = fit_schema(ds, cfg)
     names = schema.feature_names
     for s in records[:50]:
-        vec = encode(s, schema, standardize=False)
+        vec = encode(s, schema)
         first = s.first_term_entries()
         for group, dept in cfg.gatekeeper_departments.items():
             took, credits, classes, gpa = department_tuple(
@@ -269,7 +269,7 @@ def test_remedial_flag_from_first_term(cohort_small):
     idx = schema.index_of("remedial")
     flagged = [s for s in records if any(e.remedial for e in s.first_term_entries())]
     assert flagged
-    vec = encode(flagged[0], schema, standardize=False)
+    vec = encode(flagged[0], schema)
     assert vec[idx] == 1.0
 
 
@@ -288,6 +288,6 @@ def test_missing_dept_gpa_uses_training_mean():
     ]
     schema = fit_schema(as_dataset(train), FeatureConfig())
     loner = simple_student(sid="T", entries=[entry("T", 1998, "autumn", "ENGL", grade=2.0)])
-    vec = encode(loner, schema, standardize=False)
+    vec = encode(loner, schema)
     assert vec[schema.index_of("dept=MATH:gpa")] == pytest.approx(3.0)
     assert vec[schema.index_of("dept=MATH:took")] == 0.0

@@ -42,17 +42,17 @@ def test_enrollment_terms_match_ground_truth(cohort_small):
 
 
 def test_window_allowance_freshman():
-    assert window_allowance(simple_student(), 180.0) == 24
+    assert window_allowance(simple_student().entry.transfer_credits, 180.0) == 24
 
 
 def test_window_allowance_transfer_arithmetic():
     s = simple_student(prev="Transfer2Yr", transfer_credits=45.0)
-    assert window_allowance(s, 180.0) == 21  # 24 - 45 / (180/12)
+    assert window_allowance(s.entry.transfer_credits, 180.0) == 21  # 24 - 45 / (180/12)
 
 
 def test_window_allowance_floors_at_one():
     s = simple_student(prev="Transfer4Yr", transfer_credits=400.0)
-    assert window_allowance(s, 180.0) == 1
+    assert window_allowance(s.entry.transfer_credits, 180.0) == 1
 
 
 @given(
@@ -61,7 +61,7 @@ def test_window_allowance_floors_at_one():
 )
 def test_window_allowance_always_in_range(credits, degree_credits):
     s = simple_student(prev="Transfer4Yr", transfer_credits=credits)
-    assert 1 <= window_allowance(s, degree_credits) <= 24
+    assert 1 <= window_allowance(s.entry.transfer_credits, degree_credits) <= 24
 
 
 def grad_student(degree_year, degree_quarter):

@@ -32,6 +32,12 @@ def test_config_validates_probabilities():
         SynthConfig(n_students=1)
 
 
+def test_config_rejects_non_positive_degree_credits():
+    for credits in (0.0, -180.0):
+        with pytest.raises(ValueError, match="degree_credits must be positive"):
+            SynthConfig.from_dict({"degree_credits": credits})
+
+
 def test_department_codes_start_canonical():
     assert department_codes(8)[:6] == ("MATH", "CHEM", "PHYS", "BIOL", "ENGL", "PSYCH")
     assert department_codes(8)[6:] == ("DEPT07", "DEPT08")
@@ -114,7 +120,7 @@ def test_graduates_have_degree_inside_window():
     records, truths = generate_cohort(cfg)
     for s, t in zip(records, truths):
         if t.true_label == "grad":
-            allowance = window_allowance(s, cfg.degree_credits)
+            allowance = window_allowance(s.entry.transfer_credits, cfg.degree_credits)
             assert s.degree_terms
             delta = min(term_index(d) for d in s.degree_terms) - term_index(s.first_term)
             assert delta <= allowance
@@ -133,7 +139,7 @@ def test_some_ncs_carry_late_degrees(cohort_small):
     late = [s for s in records if s.student_id in nc_ids and s.degree_terms]
     assert late, "late-degree non-completions should exist to exercise the window boundary"
     for s in late:
-        allowance = window_allowance(s, cfg.degree_credits)
+        allowance = window_allowance(s.entry.transfer_credits, cfg.degree_credits)
         delta = min(term_index(d) for d in s.degree_terms) - term_index(s.first_term)
         assert delta > allowance
 
