@@ -11,10 +11,10 @@ runs with identical configuration produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .evaluation import (
     timing_experiment,
 )
 from .features import encode_dataset, fit_schema, standardize
-from .io import load_students
+from .io import load_students, read_csv, read_json, write_csv, write_json
 from .labeling import LabeledDataset, OutcomeLabel, balance, label_all
 from .models import (
     check_schema,
@@ -92,12 +92,6 @@ def _manifest_line(cfg: RunConfig, stage: str, inputs: list[Path], outputs: list
         fh.write(json.dumps(line, sort_keys=True) + "\n")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _cohort_inputs(cfg: RunConfig) -> list[Path]:
     return [p for p in cohort_paths(cfg.data_dir).values() if p.exists()]
 
@@ -111,40 +105,33 @@ def _load_cohort(stage: str, cfg: RunConfig):
 
 def _read_labels(stage: str, cfg: RunConfig) -> dict[str, OutcomeLabel]:
     path = _require(stage, Path(cfg.out_dir) / "labels.csv", "label")
-    labels: dict[str, OutcomeLabel] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            labels[row["student_id"]] = OutcomeLabel(
-                graduated=row["graduated"] == "1",
-                quarters_enrolled=int(row["quarters_enrolled"]),
-                window_allowance=int(row["window_allowance"]),
-            )
-    return labels
+    return {
+        row["student_id"]: OutcomeLabel(
+            graduated=row["graduated"] == "1",
+            quarters_enrolled=int(row["quarters_enrolled"]),
+            window_allowance=int(row["window_allowance"]),
+        )
+        for row in read_csv(path)
+    }
 
 
 def _read_features(stage: str, cfg: RunConfig) -> tuple[list[str], np.ndarray]:
     path = _require(stage, Path(cfg.out_dir) / "features.csv", "featurize")
     ids: list[str] = []
     rows: list[list[float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            ids.append(row[0])
-            rows.append([float(v) for v in row[1:]])
+    for row in read_csv(path):
+        ids.append(row.pop("student_id"))
+        rows.append([float(v) for v in row.values()])
     return ids, np.array(rows)
 
 
 def _read_split(stage: str, cfg: RunConfig) -> dict[str, str]:
     path = _require(stage, Path(cfg.out_dir) / "split.csv", "featurize")
-    with open(path, newline="", encoding="utf-8") as fh:
-        return {row["student_id"]: row["partition"] for row in csv.DictReader(fh)}
+    return {row["student_id"]: row["partition"] for row in read_csv(path)}
 
 
 def _read_schema_meta(stage: str, cfg: RunConfig) -> dict:
-    path = _require(stage, Path(cfg.out_dir) / "schema.json", "featurize")
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    return read_json(_require(stage, Path(cfg.out_dir) / "schema.json", "featurize"))
 
 
 def _matrices(stage: str, cfg: RunConfig):
@@ -176,13 +163,12 @@ def stage_label(cfg: RunConfig) -> list[Path]:
     records = _load_cohort("label", cfg)
     ds = label_all(records, cfg.degree_credits)
     out = Path(cfg.out_dir) / "labels.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["student_id", "graduated", "quarters_enrolled", "window_allowance"])
-        for student, lab in ds.records:
-            writer.writerow(
-                [student.student_id, int(lab.graduated), lab.quarters_enrolled, lab.window_allowance]
-            )
+    write_csv(
+        out,
+        ["student_id", "graduated", "quarters_enrolled", "window_allowance"],
+        ([s.student_id, int(lab.graduated), lab.quarters_enrolled, lab.window_allowance]
+         for s, lab in ds.records),
+    )
     _manifest_line(cfg, "label", _cohort_inputs(cfg), [out])
     return [out]
 
@@ -201,19 +187,19 @@ def stage_featurize(cfg: RunConfig) -> list[Path]:
 
     features_path = out_dir / "features.csv"
     ids, x_raw, _ = encode_dataset(balanced, schema, standardize=False)
-    with open(features_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["student_id"] + schema.feature_names)
-        for sid, row in zip(ids, x_raw):
-            writer.writerow([sid] + [repr(float(v)) for v in row])
+    write_csv(
+        features_path,
+        ["student_id"] + schema.feature_names,
+        ([sid, *row.tolist()] for sid, row in zip(ids, x_raw)),
+    )
 
     split_path = out_dir / "split.csv"
     train_ids = {s.student_id for s, _ in train.records}
-    with open(split_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["student_id", "partition"])
-        for sid in ids:
-            writer.writerow([sid, "train" if sid in train_ids else "test"])
+    write_csv(
+        split_path,
+        ["student_id", "partition"],
+        ([sid, "train" if sid in train_ids else "test"] for sid in ids),
+    )
 
     inputs = _cohort_inputs(cfg) + [out_dir / "labels.csv"]
     outputs = [features_path, schema_path, split_path]
@@ -279,16 +265,12 @@ def stage_evaluate(cfg: RunConfig) -> list[Path]:
             hyper = {"max_depth": model.params.max_depth, "n_trees": model.params.n_trees}
         report_models[name] = ModelEval(accuracy(scores, y_te), auc, tuple(points), hyper)
         roc_path = out_dir / f"roc_{name}.csv"
-        with open(roc_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["fpr", "tpr", "threshold"])
-            for fpr, tpr, thr in points:
-                writer.writerow([repr(fpr), repr(tpr), repr(thr)])
+        write_csv(roc_path, ["fpr", "tpr", "threshold"], points)
         outputs.append(roc_path)
 
     report = EvalReport(report_models, cfg.split_seed)
     report_path = out_dir / "report.json"
-    _write_json(report_path, report.to_dict())
+    write_json(report_path, asdict(report))
     outputs.insert(0, report_path)
     inputs = [out_dir / MODEL_FILES[m] for m in MODEL_FILES]
     inputs += [out_dir / "features.csv", out_dir / "split.csv", out_dir / "labels.csv"]
@@ -304,11 +286,7 @@ def stage_screen(cfg: RunConfig) -> list[Path]:
         x_std[~is_train], y[~is_train],
     )
     out = Path(cfg.out_dir) / "screen.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["Feature", "Accuracy", "AUC"])
-        for r in rows:
-            writer.writerow([r.feature, repr(r.accuracy), repr(r.auc)])
+    write_csv(out, ["Feature", "Accuracy", "AUC"], ([r.feature, r.accuracy, r.auc] for r in rows))
     inputs = [Path(cfg.out_dir) / n for n in ("features.csv", "split.csv", "labels.csv", "schema.json")]
     _manifest_line(cfg, "screen", inputs, [out])
     return [out]
@@ -326,7 +304,7 @@ def stage_timing(cfg: RunConfig) -> list[Path]:
         test_fraction=cfg.test_fraction, cv_seed=cfg.cv_seed,
     )
     out = Path(cfg.out_dir) / "timing.json"
-    _write_json(out, report.to_dict())
+    write_json(out, asdict(report))
     inputs = _cohort_inputs(cfg) + [Path(cfg.out_dir) / "labels.csv"]
     _manifest_line(cfg, "timing", inputs, [out])
     return [out]
@@ -383,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-        cfg.write_resolved(Path(cfg.out_dir) / "run_config.json")
+        write_json(Path(cfg.out_dir) / "run_config.json", asdict(cfg))
         STAGES[args.subcommand](cfg)
     except StageError as exc:
         print(f"error: {exc.stage}: {exc}", file=sys.stderr)

@@ -7,11 +7,11 @@ config alone.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .features import DEFAULT_GATEKEEPER_DEPARTMENTS, FeatureConfig
+from .io import read_json
 from .models import ForestParams
 from .synthetic import SynthConfig
 
@@ -45,11 +45,17 @@ class RunConfig:
     sampling_seed: int = 7303
     synth: SynthConfig = field(default_factory=SynthConfig)
 
+    def __post_init__(self) -> None:
+        # labeling and the generator must agree on the completion window
+        if self.degree_credits != self.synth.degree_credits:
+            raise ValueError(
+                f"degree_credits ({self.degree_credits}) must equal "
+                f"synth.degree_credits ({self.synth.degree_credits})"
+            )
+
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json(path))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -68,27 +74,13 @@ class RunConfig:
 
     def override_seed(self, seed: int) -> "RunConfig":
         """One seed to rule them all: split, CV, sampling, and generation."""
-        cfg = RunConfig.from_dict(self.to_dict())
-        cfg.split_seed = seed
-        cfg.cv_seed = seed + 1
-        cfg.sampling_seed = seed + 2
-        synth = self.to_dict()["synth"]
-        synth["seed"] = seed + 3
-        cfg.synth = SynthConfig.from_dict(synth)
-        return cfg
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["synth"]["entry_year_range"] = list(self.synth.entry_year_range)
-        out["gatekeeper_range"] = list(self.gatekeeper_range)
-        for tup in ("lr_lambda_grid", "knn_k_grid", "forest_depth_grid", "timing_lambda_grid"):
-            out[tup] = list(getattr(self, tup))
-        return out
-
-    def write_resolved(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        return replace(
+            self,
+            split_seed=seed,
+            cv_seed=seed + 1,
+            sampling_seed=seed + 2,
+            synth=replace(self.synth, seed=seed + 3),
+        )
 
     def feature_config(self) -> FeatureConfig:
         return FeatureConfig(

@@ -42,20 +42,6 @@ class EvalReport:
     models: dict[str, ModelEval]
     split_seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "split_seed": self.split_seed,
-            "models": {
-                name: {
-                    "accuracy": ev.accuracy,
-                    "auc": ev.auc,
-                    "hyperparameters": ev.hyperparameters,
-                    "roc_points": [list(p) for p in ev.roc_points],
-                }
-                for name, ev in self.models.items()
-            },
-        }
-
 
 @dataclass(frozen=True)
 class ScreenRow:
@@ -74,17 +60,6 @@ class TimingReport:
     sd_target: float
     chosen_lambda: float
     n_test: int
-
-    def to_dict(self) -> dict:
-        return {
-            "rmse": self.rmse,
-            "rmse_drop5": self.rmse_drop5,
-            "rmse_drop10": self.rmse_drop10,
-            "mean_target": self.mean_target,
-            "sd_target": self.sd_target,
-            "chosen_lambda": self.chosen_lambda,
-            "n_test": self.n_test,
-        }
 
 
 def split(
@@ -184,17 +159,16 @@ def cv_tune(
     folds: int = 10,
     seed: int = 0,
     forest_params: ForestParams | None = None,
-    metric: str = "auc",
 ) -> tuple[float | int, dict]:
     """Pick the grid value with the best mean validation score across folds.
 
-    AUC is maximized, RMSE minimized; exact ties go to the smaller (less
-    complex) grid value because candidates are swept in ascending order.
+    Classifiers maximize AUC and ridge minimizes RMSE; exact ties go to the
+    smaller (less complex) grid value because candidates are swept in
+    ascending order.
     """
     if len(grid) == 0:
         raise ValueError("hyperparameter grid is empty")
-    if metric not in ("auc", "rmse"):
-        raise ValueError(f"unknown tuning metric {metric!r}")
+    metric = "rmse" if kind == "ridge" else "auc"
     params = forest_params or ForestParams()
     fold_idx = kfold_indices(len(y), folds, seed)
     forest_seeds = [int(s.generate_state(1, dtype=np.uint64)[0]) for s in np.random.SeedSequence(seed).spawn(folds)]
@@ -296,7 +270,7 @@ def timing_experiment(
 
     chosen, _ = cv_tune(
         x_train, y_train, "ridge", grid, folds=folds,
-        seed=seed if cv_seed is None else cv_seed, metric="rmse",
+        seed=seed if cv_seed is None else cv_seed,
     )
     model = train_ridge(x_train, y_train, chosen)
     errors = predict_linear(model, x_test) - y_test

@@ -23,12 +23,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .io import write_json
 from .labeling import LabeledDataset
 from .records import (
     GENDERS,
     PREVIOUS_SCHOOLING,
     QUARTERS,
     RACES,
+    RESIDENCIES,
     StudentRecord,
     TranscriptEntry,
 )
@@ -51,7 +53,6 @@ class FeatureConfig:
         default_factory=lambda: dict(DEFAULT_GATEKEEPER_DEPARTMENTS)
     )
     imputation_mode: str = "regression"  # "regression" | "mean"
-    residency_labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.imputation_mode not in ("regression", "mean"):
@@ -60,10 +61,6 @@ class FeatureConfig:
         if lo > hi:
             raise ValueError(f"bad gatekeeper course-number range {self.gatekeeper_range}")
         object.__setattr__(self, "gatekeeper_departments", dict(self.gatekeeper_departments))
-        if not self.residency_labels:
-            from .records import DEFAULT_RESIDENCY_LABELS
-
-            object.__setattr__(self, "residency_labels", tuple(DEFAULT_RESIDENCY_LABELS))
 
 
 @dataclass(frozen=True)
@@ -100,12 +97,12 @@ def credit_weighted_gpa(entries: Sequence[TranscriptEntry]) -> float | None:
     return points / credits if credits > 0 else None
 
 
-def _demographic_onehots(s: StudentRecord, residency_labels: Sequence[str]) -> list[float]:
+def _demographic_onehots(s: StudentRecord) -> list[float]:
     """Race, gender, residency and previous-schooling one-hots, then the hispanic flag."""
     d = s.demographics
     row = [1.0 if d.race == r else 0.0 for r in RACES]
     row += [1.0 if d.gender == g else 0.0 for g in GENDERS]
-    row += [1.0 if d.residency == r else 0.0 for r in residency_labels]
+    row += [1.0 if d.residency == r else 0.0 for r in RESIDENCIES]
     row += [1.0 if s.entry.previous_schooling == p else 0.0 for p in PREVIOUS_SCHOOLING]
     row.append(1.0 if d.hispanic else 0.0)
     return row
@@ -142,11 +139,10 @@ class Imputer:
     SAT_RANGE = (400.0, 1600.0)
     ACT_RANGE = (1.0, 36.0)
 
-    def __init__(self, mode: str, residency_labels: tuple[str, ...]):
+    def __init__(self, mode: str):
         if mode not in ("regression", "mean"):
             raise ValueError(f"unknown imputation mode {mode!r}")
         self.mode = mode
-        self.residency_labels = residency_labels
         self.sat_mean = 0.0
         self.act_mean = 0.0
         self._weights: dict[str, np.ndarray | None] = {
@@ -157,8 +153,7 @@ class Imputer:
         }
 
     def _base_row(self, s: StudentRecord) -> list[float]:
-        onehots = _demographic_onehots(s, self.residency_labels)
-        return [1.0] + onehots + [float(s.demographics.birth_year - 1980)]
+        return [1.0] + _demographic_onehots(s) + [float(s.demographics.birth_year - 1980)]
 
     def fit(self, students: Sequence[StudentRecord]) -> "Imputer":
         sat_rows = [s for s in students if s.entry.sat_score is not None]
@@ -214,9 +209,8 @@ class Imputer:
         return float(s.entry.act_score) if s.entry.act_score is not None else self._predict(s, "act")
 
 
-def fit_imputer(train: LabeledDataset, mode: str, config: FeatureConfig | None = None) -> Imputer:
-    cfg = config or FeatureConfig(imputation_mode=mode)
-    return Imputer(mode, tuple(cfg.residency_labels)).fit([s for s, _ in train.records])
+def fit_imputer(train: LabeledDataset, mode: str) -> Imputer:
+    return Imputer(mode).fit([s for s, _ in train.records])
 
 
 class FeatureSchema:
@@ -256,7 +250,7 @@ class FeatureSchema:
             dummy(f"race={r}", "demographics")
         for g in GENDERS:
             dummy(f"gender={g}", "demographics")
-        for r in self.config.residency_labels:
+        for r in RESIDENCIES:
             dummy(f"residency={r}", "demographics")
         for p in PREVIOUS_SCHOOLING:
             dummy(f"prev_schooling={p}", "entry")
@@ -325,9 +319,7 @@ class FeatureSchema:
             "imputation_mode": self.imputer.mode,
             "hash": self.content_hash(),
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, payload)
 
 
 def fit_schema(train: LabeledDataset, config: FeatureConfig | None = None) -> FeatureSchema:
@@ -365,7 +357,7 @@ def fit_schema(train: LabeledDataset, config: FeatureConfig | None = None) -> Fe
     gatekeeper_gpa_means = {g: pooled(entries) for g, entries in gate_entries.items()}
 
     schema = FeatureSchema(
-        cfg, major_vocab, department_vocab, fit_imputer(train, cfg.imputation_mode, cfg),
+        cfg, major_vocab, department_vocab, fit_imputer(train, cfg.imputation_mode),
         dept_gpa_means, gatekeeper_gpa_means, global_gpa,
     )
     raw = np.array([encode(s, schema) for s, _ in train.records])
@@ -379,7 +371,7 @@ def encode(student: StudentRecord, schema: FeatureSchema) -> np.ndarray:
     cfg = schema.config
     first = student.first_term_entries()
 
-    values = _demographic_onehots(student, cfg.residency_labels)
+    values = _demographic_onehots(student)
     values.append(float(student.demographics.birth_year))
     values.append(float(student.first_term.year))
     values += [1.0 if student.first_term.quarter == q else 0.0 for q in QUARTERS]

@@ -1,6 +1,12 @@
-"""CSV ingestion and serialization for registrar-style files.
+"""Every on-disk format of the pipeline: registrar CSVs and the artifacts.
 
-File formats (UTF-8, header row required, "." decimal point):
+All CSV files are UTF-8 with a header row, LF line ends and "." decimal
+point; floats are written as ``repr`` so they read back exactly. JSON files
+have sorted keys and end in a newline. `write_csv`/`read_csv` and
+`write_json`/`read_json` are the only code that writes or reads them; the
+validating `load_students` checks the registrar inputs row by row.
+
+Registrar input files:
 
 * ``students.csv``: student_id, race, gender, hispanic (0/1), residency,
   birth_year, previous_schooling, sat_score (blank = missing), act_score
@@ -15,15 +21,16 @@ File formats (UTF-8, header row required, "." decimal point):
 from __future__ import annotations
 
 import csv
+import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .records import (
-    DEFAULT_RESIDENCY_LABELS,
     GENDERS,
     PREVIOUS_SCHOOLING,
     QUARTERS,
     RACES,
+    RESIDENCIES,
     Demographics,
     EntryInfo,
     StudentRecord,
@@ -131,7 +138,6 @@ def load_students(
     students_file: str | Path,
     transcripts_file: str | Path,
     degrees_file: str | Path | None = None,
-    residency_labels: Sequence[str] = DEFAULT_RESIDENCY_LABELS,
 ) -> list[StudentRecord]:
     """Load and validate student records from CSV files.
 
@@ -154,7 +160,7 @@ def load_students(
         race = s_reader.parse_category(row, line, "race", RACES)
         gender = s_reader.parse_category(row, line, "gender", GENDERS)
         hispanic = s_reader.parse_flag(row, line, "hispanic")
-        residency = s_reader.parse_category(row, line, "residency", tuple(residency_labels))
+        residency = s_reader.parse_category(row, line, "residency", RESIDENCIES)
         birth_year = s_reader.parse_int(row, line, "birth_year", minimum=1900)
         prev = s_reader.parse_category(row, line, "previous_schooling", PREVIOUS_SCHOOLING)
         sat_raw = (row.get("sat_score") or "").strip()
@@ -220,66 +226,84 @@ def load_students(
     return records
 
 
-def _fmt(value: float | int | None) -> str:
-    if value is None:
-        return ""
-    return repr(value) if isinstance(value, float) else str(value)
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header row, then `rows` as they come, with LF line ends.
+
+    None is written as an empty cell and a float as its ``repr``.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _open_writer(path: Path):
-    fh = open(path, "w", newline="", encoding="utf-8")
-    return fh, csv.writer(fh, lineterminator="\n")
+def read_csv(path: str | Path) -> Iterator[dict[str, str]]:
+    """Yield the rows of a CSV file with a header as dicts, one at a time."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        yield from csv.DictReader(fh)
+
+
+def write_json(path: str | Path, payload, indent: int | None = 2) -> None:
+    """Write `payload` as sorted-key JSON followed by a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=indent, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path: str | Path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def write_students(records: Iterable[StudentRecord], path: str | Path) -> None:
-    fh, writer = _open_writer(Path(path))
-    with fh:
-        writer.writerow(STUDENT_COLUMNS)
-        for r in records:
-            d, e = r.demographics, r.entry
-            writer.writerow(
-                [
-                    r.student_id,
-                    d.race,
-                    d.gender,
-                    int(d.hispanic),
-                    d.residency,
-                    d.birth_year,
-                    e.previous_schooling,
-                    _fmt(e.sat_score),
-                    _fmt(e.act_score),
-                    _fmt(e.transfer_credits),
-                    ";".join(e.first_term_majors),
-                    int(e.fig_member),
-                ]
-            )
+    write_csv(
+        path,
+        STUDENT_COLUMNS,
+        (
+            [
+                r.student_id,
+                r.demographics.race,
+                r.demographics.gender,
+                int(r.demographics.hispanic),
+                r.demographics.residency,
+                r.demographics.birth_year,
+                r.entry.previous_schooling,
+                r.entry.sat_score,
+                r.entry.act_score,
+                r.entry.transfer_credits,
+                ";".join(r.entry.first_term_majors),
+                int(r.entry.fig_member),
+            ]
+            for r in records
+        ),
+    )
 
 
 def write_transcripts(records: Iterable[StudentRecord], path: str | Path) -> None:
-    fh, writer = _open_writer(Path(path))
-    with fh:
-        writer.writerow(TRANSCRIPT_COLUMNS)
-        for r in records:
-            for t in r.transcript:
-                writer.writerow(
-                    [
-                        t.student_id,
-                        t.term.year,
-                        t.term.quarter,
-                        t.department,
-                        t.course_number,
-                        _fmt(t.credits),
-                        _fmt(t.grade),
-                        t.mark or "",
-                        int(t.remedial),
-                    ]
-                )
+    write_csv(
+        path,
+        TRANSCRIPT_COLUMNS,
+        (
+            [
+                t.student_id,
+                t.term.year,
+                t.term.quarter,
+                t.department,
+                t.course_number,
+                t.credits,
+                t.grade,
+                t.mark,
+                int(t.remedial),
+            ]
+            for r in records
+            for t in r.transcript
+        ),
+    )
 
 
 def write_degrees(records: Iterable[StudentRecord], path: str | Path) -> None:
-    fh, writer = _open_writer(Path(path))
-    with fh:
-        writer.writerow(DEGREE_COLUMNS)
-        for r in records:
-            for term in r.degree_terms:
-                writer.writerow([r.student_id, term.year, term.quarter])
+    write_csv(
+        path,
+        DEGREE_COLUMNS,
+        ([r.student_id, term.year, term.quarter] for r in records for term in r.degree_terms),
+    )

@@ -9,13 +9,14 @@ trainers are deterministic functions of (data, hyperparameters, seed).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
+
+from .io import read_json, write_json
 
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_TOL = 1e-6
@@ -246,11 +247,12 @@ def fit_knn(x: np.ndarray, y: np.ndarray, k: int) -> KnnModel:
     return KnnModel(x, y, k)
 
 
-def knn_predict(model: KnnModel, x: np.ndarray, chunk: int = 256) -> np.ndarray | float:
+def knn_predict(model: KnnModel, x: np.ndarray) -> np.ndarray | float:
     """Fraction of positive labels among the k nearest training rows.
 
     Euclidean distance; exact distance ties resolve to the lowest training
-    row index (stable sort over squared distances).
+    row index (stable sort over squared distances). Queries are scored one
+    at a time, so memory stays at one n_train x d block however many there are.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -260,12 +262,11 @@ def knn_predict(model: KnnModel, x: np.ndarray, chunk: int = 256) -> np.ndarray 
             f"query length {queries.shape[1]} does not match training dimension {model.x_train.shape[1]}"
         )
     out = np.empty(queries.shape[0])
-    for start in range(0, queries.shape[0], chunk):
-        block = queries[start : start + chunk]
-        diff = block[:, None, :] - model.x_train[None, :, :]
-        d2 = np.einsum("qtf,qtf->qt", diff, diff)
-        order = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
-        out[start : start + chunk] = model.y_train[order].mean(axis=1)
+    for i, q in enumerate(queries):
+        diff = model.x_train - q
+        d2 = np.einsum("tf,tf->t", diff, diff)
+        order = np.argsort(d2, kind="stable")[: model.k]
+        out[i] = model.y_train[order].mean()
     return float(out[0]) if single else out
 
 
@@ -566,11 +567,8 @@ def model_from_dict(payload: dict) -> Model:
 
 
 def save_model(model: Model, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, model_to_dict(model), indent=None)
 
 
 def load_model(path: str | Path) -> Model:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(read_json(path))

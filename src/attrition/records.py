@@ -23,10 +23,7 @@ RACES = (
 )
 GENDERS = ("Female", "Male", "OtherUnknown")
 PREVIOUS_SCHOOLING = ("Freshman", "Transfer2Yr", "Transfer4Yr")
-
-# Residency is a 7-slot categorical; the labels are deployment-specific, so
-# loaders accept an override. These defaults cover the usual registrar split.
-DEFAULT_RESIDENCY_LABELS = (
+RESIDENCIES = (
     "Resident",
     "NonResident",
     "International",

@@ -30,7 +30,6 @@ of everything else and is the designated pure-noise feature.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -38,14 +37,14 @@ from pathlib import Path
 import numpy as np
 
 from .features import credit_weighted_gpa
-from .io import write_degrees, write_students, write_transcripts
+from .io import read_csv, write_csv, write_degrees, write_students, write_transcripts
 from .labeling import window_allowance
 from .records import (
-    DEFAULT_RESIDENCY_LABELS,
     GENDERS,
     PREVIOUS_SCHOOLING,
     QUARTERS,
     RACES,
+    RESIDENCIES,
     Demographics,
     EntryInfo,
     StudentRecord,
@@ -291,7 +290,7 @@ def generate_cohort(cfg: SynthConfig) -> tuple[list[StudentRecord], list[GroundT
         race = RACES[int(rng.choice(len(RACES), p=_RACE_P))]
         gender = GENDERS[int(rng.choice(len(GENDERS), p=_GENDER_P))]
         hispanic = bool(rng.random() < 0.045)
-        residency = DEFAULT_RESIDENCY_LABELS[int(rng.choice(7, p=_RESIDENCY_P))]
+        residency = RESIDENCIES[int(rng.choice(7, p=_RESIDENCY_P))]
         prev = PREVIOUS_SCHOOLING[int(rng.choice(3, p=_PREV_P))]
         entry_year = int(rng.integers(cfg.entry_year_range[0], cfg.entry_year_range[1] + 1))
         entry_age = int(rng.choice([17, 18, 19, 20, 21, 22, 25], p=[0.08, 0.52, 0.18, 0.08, 0.06, 0.04, 0.04]))
@@ -397,28 +396,18 @@ def write_cohort(
     write_students(records, paths["students"])
     write_transcripts(records, paths["transcripts"])
     write_degrees(records, paths["degrees"])
-    with open(paths["ground_truth"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(GROUND_TRUTH_COLUMNS)
-        for t in truths:
-            writer.writerow(
-                [t.student_id, repr(t.latent_risk), t.true_label,
-                 "" if t.true_quarters_enrolled is None else t.true_quarters_enrolled]
-            )
+    rows = ([t.student_id, t.latent_risk, t.true_label, t.true_quarters_enrolled] for t in truths)
+    write_csv(paths["ground_truth"], GROUND_TRUTH_COLUMNS, rows)
     return paths
 
 
 def read_ground_truth(path: str | Path) -> list[GroundTruth]:
-    truths = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            q = row["true_quarters_enrolled"].strip()
-            truths.append(
-                GroundTruth(
-                    student_id=row["student_id"],
-                    latent_risk=float(row["latent_risk"]),
-                    true_label=row["true_label"],
-                    true_quarters_enrolled=int(q) if q else None,
-                )
-            )
-    return truths
+    return [
+        GroundTruth(
+            student_id=row["student_id"],
+            latent_risk=float(row["latent_risk"]),
+            true_label=row["true_label"],
+            true_quarters_enrolled=int(q) if (q := row["true_quarters_enrolled"].strip()) else None,
+        )
+        for row in read_csv(path)
+    ]

@@ -1,8 +1,19 @@
+import inspect
 from pathlib import Path
 
 import pytest
 
-from attrition.io import DataFormatError, load_students, write_degrees, write_students, write_transcripts
+from attrition.io import (
+    DataFormatError,
+    load_students,
+    read_csv,
+    read_json,
+    write_csv,
+    write_degrees,
+    write_json,
+    write_students,
+    write_transcripts,
+)
 from attrition.synthetic import SynthConfig, generate_cohort, write_cohort
 
 STUDENT_HEADER = (
@@ -148,3 +159,31 @@ def test_cohort_round_trip_via_write_cohort(tmp_path):
     paths = write_cohort(records, truths, tmp_path)
     loaded = load_students(paths["students"], paths["transcripts"], paths["degrees"])
     assert loaded == records
+
+
+def test_write_csv_bytes(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, ["id", "text", "x", "missing"], [["S1", 'a,"b"', 0.1, None], ["S2", "", 3, 1e-05]])
+    assert path.read_bytes() == b'id,text,x,missing\nS1,"a,""b""",0.1,\nS2,,3,1e-05\n'
+
+
+def test_read_csv_yields_dict_rows_lazily(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, ["id", "x"], [["S1", 0.5], ["S2", None]])
+    rows = read_csv(path)
+    assert inspect.isgenerator(rows)
+    assert next(rows) == {"id": "S1", "x": "0.5"}
+    assert list(rows) == [{"id": "S2", "x": ""}]
+
+
+def test_write_json_bytes(tmp_path):
+    path = tmp_path / "payload.json"
+    payload = {"b": [1, 2.5], "a": {"z": None, "y": (0.1, "s")}}
+    write_json(path, payload)
+    assert path.read_text(encoding="utf-8") == (
+        '{\n  "a": {\n    "y": [\n      0.1,\n      "s"\n    ],\n    "z": null\n  },\n'
+        '  "b": [\n    1,\n    2.5\n  ]\n}\n'
+    )
+    write_json(path, payload, indent=None)
+    assert path.read_text(encoding="utf-8") == '{"a": {"y": [0.1, "s"], "z": null}, "b": [1, 2.5]}\n'
+    assert read_json(path) == {"a": {"y": [0.1, "s"], "z": None}, "b": [1, 2.5]}

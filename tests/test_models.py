@@ -238,6 +238,25 @@ def test_knn_distance_ties_break_by_row_index():
     assert knn_predict(fit_knn(x, y, 3), np.array([0.0])) == pytest.approx(1 / 3)
 
 
+def test_knn_many_queries_equal_one_at_a_time():
+    # integer coordinates keep every squared distance exact, so distance ties
+    # are common; query 0 sits on rows 2 and 5, a tie that must go to row 2
+    rng = np.random.default_rng(16)
+    x = rng.integers(-3, 4, size=(40, 5)).astype(float)
+    x[5] = x[2]
+    y = (rng.random(40) < 0.5).astype(float)
+    y[2], y[5] = 1.0, 0.0
+    queries = rng.integers(-3, 4, size=(300, 5)).astype(float)
+    queries[0] = x[2]
+    for k in (1, 7):
+        model = fit_knn(x, y, k)
+        batch = knn_predict(model, queries)
+        assert batch.shape == (300,)
+        assert np.array_equal(batch, [knn_predict(model, q) for q in queries])
+        assert np.array_equal(batch, [brute_force_knn(x, y, q, k) for q in queries])
+    assert knn_predict(fit_knn(x, y, 1), queries[0]) == 1.0
+
+
 def test_knn_validates_k():
     x = np.zeros((4, 2))
     y = np.array([0.0, 1.0, 0.0, 1.0])
