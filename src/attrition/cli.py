@@ -213,27 +213,33 @@ def stage_train(cfg: RunConfig) -> list[Path]:
     schema_hash = meta["hash"]
     out_dir = Path(cfg.out_dir)
 
-    lam, _ = cv_tune(x_tr_std, y_tr, "logistic_regression", cfg.lr_lambda_grid,
-                     folds=cfg.cv_folds, seed=cfg.cv_seed)
+    lam, lr_means = cv_tune(x_tr_std, y_tr, "logistic_regression", cfg.lr_lambda_grid,
+                            folds=cfg.cv_folds, seed=cfg.cv_seed)
     lr = train_logistic(x_tr_std, y_tr, lam)
     lr.schema_hash = schema_hash
 
     fold_train_size = (len(y_tr) * (cfg.cv_folds - 1)) // cfg.cv_folds
     k_grid = [k for k in cfg.knn_k_grid if k <= fold_train_size] or [1]
-    k, _ = cv_tune(x_tr_std, y_tr, "knn", k_grid, folds=cfg.cv_folds, seed=cfg.cv_seed)
+    k, knn_means = cv_tune(x_tr_std, y_tr, "knn", k_grid, folds=cfg.cv_folds, seed=cfg.cv_seed)
     knn = fit_knn(x_tr_std, y_tr, k)
     knn.schema_hash = schema_hash
 
-    depth, _ = cv_tune(x_tr_raw, y_tr, "random_forest", cfg.forest_depth_grid,
-                       folds=cfg.cv_folds, seed=cfg.cv_seed,
-                       forest_params=cfg.forest_params())
-    forest = train_forest(x_tr_raw, y_tr, cfg.forest_params(max_depth=depth), cfg.cv_seed)
+    depth, forest_means = cv_tune(x_tr_raw, y_tr, "random_forest", cfg.forest_depth_grid,
+                                  folds=cfg.cv_folds, seed=cfg.cv_seed,
+                                  forest_params=cfg.forest_params(max(cfg.forest_depth_grid)))
+    forest = train_forest(x_tr_raw, y_tr, cfg.forest_params(depth), cfg.cv_seed)
     forest.schema_hash = schema_hash
 
     outputs = []
     for name, model in (("logistic_regression", lr), ("random_forest", forest), ("knn", knn)):
         path = out_dir / MODEL_FILES[name]
         save_model(model, path)
+        outputs.append(path)
+    for name, chosen, means in (("logistic_regression", lam, lr_means), ("knn", k, knn_means),
+                                ("random_forest", depth, forest_means)):
+        path = out_dir / f"cv_{name}.csv"
+        write_csv(path, ["value", "mean_score", "chosen"],
+                  ([value, score, int(value == chosen)] for value, score in means.items()))
         outputs.append(path)
     inputs = [out_dir / "features.csv", out_dir / "split.csv", out_dir / "labels.csv", out_dir / "schema.json"]
     _manifest_line(cfg, "train", inputs, outputs)

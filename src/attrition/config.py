@@ -52,6 +52,18 @@ class RunConfig:
                 f"degree_credits ({self.degree_credits}) must equal "
                 f"synth.degree_credits ({self.synth.degree_credits})"
             )
+        # grid checks: (field, what its values must be, the test each value must pass)
+        for name, rule, ok in (
+            ("lr_lambda_grid", "non-negative", lambda v: v >= 0),
+            ("knn_k_grid", "positive odd integers", lambda v: v >= 1 and v % 2 == 1),
+            ("forest_depth_grid", "at least 1", lambda v: v >= 1),
+            ("timing_lambda_grid", "non-negative", lambda v: v >= 0),
+        ):
+            grid = getattr(self, name)
+            if not grid:
+                raise ValueError(f"{name} must not be empty")
+            if not all(isinstance(v, (int, float)) and ok(v) for v in grid):
+                raise ValueError(f"{name} values must be {rule}, got {list(grid)}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
@@ -90,10 +102,10 @@ class RunConfig:
             imputation_mode=self.imputation_mode,
         )
 
-    def forest_params(self, max_depth: int | None = None) -> ForestParams:
+    def forest_params(self, max_depth: int) -> ForestParams:
         return ForestParams(
             n_trees=self.forest_n_trees,
-            max_depth=max_depth or self.forest_depth_grid[-1],
+            max_depth=max_depth,
             min_samples_split=self.forest_min_samples_split,
             min_samples_leaf=self.forest_min_samples_leaf,
         )

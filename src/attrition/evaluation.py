@@ -27,6 +27,7 @@ from .models import (
     train_forest,
     train_logistic,
     train_ridge,
+    truncate_forest,
 )
 
 @dataclass(frozen=True)
@@ -138,16 +139,22 @@ def accuracy(
     return float(np.mean((scores >= threshold) == (labels > 0.5)))
 
 
-def _fit_and_score(kind: str, value, x_tr, y_tr, x_va, forest_seed: int, params: ForestParams):
+def _grid_scores(kind: str, grid: list, x_tr, y_tr, x_va, forest_seed: int, params: ForestParams):
+    """Validation scores of every value of the ascending grid, from one fold.
+
+    One forest grown to the deepest depth serves every depth, and one
+    neighbour sort per query serves every k; the linear models fit once per
+    value.
+    """
     if kind == "logistic_regression":
-        return predict_proba(train_logistic(x_tr, y_tr, value), x_va)
+        return [predict_proba(train_logistic(x_tr, y_tr, lam), x_va) for lam in grid]
     if kind == "knn":
-        return knn_predict(fit_knn(x_tr, y_tr, value), x_va)
+        return list(knn_predict(fit_knn(x_tr, y_tr, grid[-1]), x_va, ks=grid))
     if kind == "random_forest":
-        model = train_forest(x_tr, y_tr, replace(params, max_depth=value), forest_seed)
-        return forest_predict(model, x_va)
+        forest = train_forest(x_tr, y_tr, replace(params, max_depth=grid[-1]), forest_seed)
+        return [forest_predict(truncate_forest(forest, depth), x_va) for depth in grid]
     if kind == "ridge":
-        return predict_linear(train_ridge(x_tr, y_tr, value), x_va)
+        return [predict_linear(train_ridge(x_tr, y_tr, lam), x_va) for lam in grid]
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -164,41 +171,35 @@ def cv_tune(
 
     Classifiers maximize AUC and ridge minimizes RMSE; exact ties go to the
     smaller (less complex) grid value because candidates are swept in
-    ascending order.
+    ascending order. Folds are the outer loop, so each fold's training rows
+    are fitted once for the whole grid where the learner allows it; the
+    forest's `max_depth` comes from the grid, not from `forest_params`.
     """
     if len(grid) == 0:
         raise ValueError("hyperparameter grid is empty")
     metric = "rmse" if kind == "ridge" else "auc"
     params = forest_params or ForestParams()
+    values = sorted(set(grid))
     fold_idx = kfold_indices(len(y), folds, seed)
     forest_seeds = [int(s.generate_state(1, dtype=np.uint64)[0]) for s in np.random.SeedSequence(seed).spawn(folds)]
     all_rows = np.arange(len(y))
 
-    means: dict = {}
-    best_value = None
-    best_score = None
-    for value in sorted(grid):
-        fold_scores = []
-        for f, va in enumerate(fold_idx):
-            tr = np.setdiff1d(all_rows, va, assume_unique=True)
-            try:
-                scores = _fit_and_score(kind, value, x[tr], y[tr], x[va], forest_seeds[f], params)
+    fold_scores: list[list[float]] = [[] for _ in values]
+    for f, va in enumerate(fold_idx):
+        tr = np.setdiff1d(all_rows, va, assume_unique=True)
+        try:
+            grid_scores = _grid_scores(kind, values, x[tr], y[tr], x[va], forest_seeds[f], params)
+            for per_value, scores in zip(fold_scores, grid_scores):
                 if metric == "auc":
-                    _, fold_score = roc_and_auc(scores, y[va])
+                    per_value.append(roc_and_auc(scores, y[va])[1])
                 else:
-                    fold_score = _rmse(scores - y[va])
-            except ValueError as exc:
-                raise ValueError(f"{kind} fold {f + 1}/{folds}: {exc}") from exc
-            fold_scores.append(fold_score)
-        mean_score = float(np.mean(fold_scores))
-        means[value] = mean_score
-        better = (
-            best_score is None
-            or (metric == "auc" and mean_score > best_score)
-            or (metric == "rmse" and mean_score < best_score)
-        )
-        if better:
-            best_value, best_score = value, mean_score
+                    per_value.append(_rmse(scores - y[va]))
+        except ValueError as exc:
+            raise ValueError(f"{kind} fold {f + 1}/{folds}: {exc}") from exc
+
+    means = {value: float(np.mean(scores)) for value, scores in zip(values, fold_scores)}
+    pick = max if metric == "auc" else min
+    best_value = pick(values, key=means.__getitem__)  # the first (smallest) of equal means
     return best_value, means
 
 

@@ -10,9 +10,9 @@ trainers are deterministic functions of (data, hyperparameters, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -247,12 +247,19 @@ def fit_knn(x: np.ndarray, y: np.ndarray, k: int) -> KnnModel:
     return KnnModel(x, y, k)
 
 
-def knn_predict(model: KnnModel, x: np.ndarray) -> np.ndarray | float:
+def knn_predict(
+    model: KnnModel, x: np.ndarray, ks: Sequence[int] | None = None
+) -> np.ndarray | float:
     """Fraction of positive labels among the k nearest training rows.
 
     Euclidean distance; exact distance ties resolve to the lowest training
     row index (stable sort over squared distances). Queries are scored one
     at a time, so memory stays at one n_train x d block however many there are.
+
+    With `ks` (odd values up to `model.k`), one neighbour sort per query
+    scores every k in it and the result has shape (len(ks), n_queries). The
+    labels are 0/1, so the prefix sum over the first k neighbours is exact
+    and each score equals the mean of those k labels.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -261,13 +268,18 @@ def knn_predict(model: KnnModel, x: np.ndarray) -> np.ndarray | float:
         raise ValueError(
             f"query length {queries.shape[1]} does not match training dimension {model.x_train.shape[1]}"
         )
-    out = np.empty(queries.shape[0])
+    k_arr = np.array([model.k] if ks is None else ks, dtype=np.int64)
+    if ((k_arr < 1) | (k_arr % 2 == 0) | (k_arr > model.k)).any():
+        raise ValueError(f"every k must be a positive odd integer at most {model.k}, got {k_arr.tolist()}")
+    out = np.empty((len(k_arr), queries.shape[0]))
     for i, q in enumerate(queries):
         diff = model.x_train - q
         d2 = np.einsum("tf,tf->t", diff, diff)
         order = np.argsort(d2, kind="stable")[: model.k]
-        out[i] = model.y_train[order].mean()
-    return float(out[0]) if single else out
+        out[:, i] = np.cumsum(model.y_train[order])[k_arr - 1] / k_arr
+    if ks is not None:
+        return out
+    return float(out[0, 0]) if single else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +366,14 @@ def _best_split(
 
 def _grow_tree(
     x: np.ndarray, y: np.ndarray, rows: np.ndarray, params: ForestParams,
-    nf: int, rng: np.random.Generator,
+    nf: int, node_key: list[int],
 ) -> _Tree:
+    """Grow one tree on the bootstrap `rows`, nodes in depth-first preorder.
+
+    Node h (root 1, children 2h and 2h + 1) draws its features from a
+    generator keyed by (node_key, h), so no split depends on max_depth: the
+    tree grown to depth d is this tree cut off at d (`truncate_forest`).
+    """
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -372,12 +390,13 @@ def _grow_tree(
         prob.append(float(y[node_rows].mean()))
         return idx
 
-    def build(node_rows: np.ndarray, depth: int) -> int:
+    def build(node_rows: np.ndarray, depth: int, heap_id: int) -> int:
         m = node_rows.shape[0]
         pos = float(y[node_rows].sum())
         if depth >= params.max_depth or m < params.min_samples_split or pos == 0.0 or pos == m:
             return leaf(node_rows)
-        feats = np.sort(rng.choice(d, size=nf, replace=False))
+        node_rng = np.random.default_rng([*node_key, heap_id])
+        feats = np.sort(node_rng.choice(d, size=nf, replace=False))
         split = _best_split(x, y, node_rows, feats, params.min_samples_leaf)
         if split is None:
             return leaf(node_rows)
@@ -389,13 +408,13 @@ def _grow_tree(
         left.append(-1)
         right.append(-1)
         prob.append(float(y[node_rows].mean()))
-        left_idx = build(node_rows[mask], depth + 1)
-        right_idx = build(node_rows[~mask], depth + 1)
+        left_idx = build(node_rows[mask], depth + 1, 2 * heap_id)
+        right_idx = build(node_rows[~mask], depth + 1, 2 * heap_id + 1)
         left[idx] = left_idx
         right[idx] = right_idx
         return idx
 
-    build(rows, 0)
+    build(rows, 0, 1)
     return _Tree(
         np.array(feature, dtype=np.int64),
         np.array(threshold, dtype=float),
@@ -410,7 +429,8 @@ def train_forest(
 ) -> ForestModel:
     """Random forest of Gini trees on bootstrap resamples, deterministic in seed.
 
-    Each tree runs off its own spawned substream, so trees could be built in
+    Each tree runs off its own spawned seed (bootstrap rows from its stream,
+    node features from generators keyed by it), so trees could be built in
     parallel and still reproduce the sequential result bit for bit.
     """
     x, y = _check_design(x, y)
@@ -422,10 +442,48 @@ def train_forest(
     seeds = np.random.SeedSequence(seed).spawn(params.n_trees)
     trees = []
     for tree_seed in seeds:
-        rng = np.random.default_rng(tree_seed)
-        rows = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(x, y, rows, params, nf, rng))
+        rows = np.random.default_rng(tree_seed).integers(0, n, size=n)
+        node_key = [int(v) for v in tree_seed.generate_state(2)]
+        trees.append(_grow_tree(x, y, rows, params, nf, node_key))
     return ForestModel(trees, params, seed, d)
+
+
+def _truncate_tree(tree: _Tree, max_depth: int) -> _Tree:
+    keep = np.zeros(len(tree.feature), dtype=bool)
+    level = np.array([0])
+    for _ in range(max_depth):
+        keep[level] = True
+        inner = level[tree.feature[level] >= 0]
+        level = np.concatenate([tree.left[inner], tree.right[inner]])
+    keep[level] = True
+    cut = np.zeros_like(keep)
+    cut[level] = True  # the nodes at max_depth become leaves
+    feature = np.where(cut, -1, tree.feature)
+    inner = feature >= 0
+    new_index = np.cumsum(keep) - 1  # preorder survives dropping whole subtrees
+    return _Tree(
+        feature[keep],
+        np.where(cut, 0.0, tree.threshold)[keep],
+        np.where(inner, new_index[tree.left], -1)[keep],
+        np.where(inner, new_index[tree.right], -1)[keep],
+        tree.prob[keep],
+    )
+
+
+def truncate_forest(model: ForestModel, max_depth: int) -> ForestModel:
+    """The forest `train_forest` grows with `max_depth` in place of the model's.
+
+    Every node stores its class frequency and draws its features by its place
+    in the tree, so cutting each tree at `max_depth` reproduces, node for node,
+    the forest grown to that depth from the same data and seed.
+    """
+    if max_depth > model.params.max_depth:
+        raise ValueError(
+            f"cannot truncate a depth-{model.params.max_depth} forest to depth {max_depth}"
+        )
+    params = replace(model.params, max_depth=max_depth)
+    trees = [_truncate_tree(t, max_depth) for t in model.trees]
+    return ForestModel(trees, params, model.seed, model.n_features, model.schema_hash)
 
 
 def _tree_predict(tree: _Tree, x: np.ndarray) -> np.ndarray:

@@ -74,6 +74,26 @@ def test_pipeline_writes_all_stage_artifacts(pipeline_run):
         assert (data / name).exists(), name
 
 
+def test_cv_curves_are_written_and_listed(pipeline_run):
+    out, _ = pipeline_run
+    report = json.loads((out / "report.json").read_text())["models"]
+    chosen = {
+        "logistic_regression": report["logistic_regression"]["hyperparameters"]["lambda"],
+        "knn": report["knn"]["hyperparameters"]["k"],
+        "random_forest": report["random_forest"]["hyperparameters"]["max_depth"],
+    }
+    grids = {"logistic_regression": [0.001, 0.1], "knn": [3, 9, 15], "random_forest": [2, 4]}
+    train_line = json.loads((out / "manifest.jsonl").read_text().splitlines()[3])
+    for name, grid in grids.items():
+        lines = (out / f"cv_{name}.csv").read_text().splitlines()
+        assert lines[0] == "value,mean_score,chosen"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [float(r[0]) for r in rows] == grid
+        assert all(0.0 <= float(r[1]) <= 1.0 for r in rows)
+        assert [float(r[0]) for r in rows if r[2] == "1"] == [chosen[name]]
+        assert f"cv_{name}.csv" in train_line["outputs"]
+
+
 def test_screen_csv_has_table_shaped_header(pipeline_run):
     out, _ = pipeline_run
     header = (out / "screen.csv").read_text().splitlines()[0]

@@ -35,3 +35,28 @@ def test_resolved_config_reads_back_equal(tmp_path, seed):
     assert main(args) == 1
     assert RunConfig.from_json(out / "run_config.json") == expected
 
+
+
+@pytest.mark.parametrize("raw,message", [
+    ({"forest_depth_grid": []}, "forest_depth_grid must not be empty"),
+    ({"knn_k_grid": []}, "knn_k_grid must not be empty"),
+    ({"lr_lambda_grid": []}, "lr_lambda_grid must not be empty"),
+    ({"timing_lambda_grid": []}, "timing_lambda_grid must not be empty"),
+    ({"forest_depth_grid": [4, 0]}, r"forest_depth_grid values must be at least 1, got \[4, 0\]"),
+    ({"knn_k_grid": [4]}, r"knn_k_grid values must be positive odd integers, got \[4\]"),
+    ({"knn_k_grid": [-1, 3]}, r"knn_k_grid values must be positive odd integers, got \[-1, 3\]"),
+    ({"knn_k_grid": ["3"]}, r"knn_k_grid values must be positive odd integers, got \['3'\]"),
+    ({"lr_lambda_grid": [0.1, -1.0]}, r"lr_lambda_grid values must be non-negative, got \[0.1, -1.0\]"),
+    ({"timing_lambda_grid": [-0.5]}, r"timing_lambda_grid values must be non-negative, got \[-0.5\]"),
+])
+def test_bad_hyperparameter_grid_is_rejected(raw, message):
+    with pytest.raises(ValueError, match=message):
+        RunConfig.from_dict(raw)
+
+
+def test_bad_grid_stops_the_first_stage(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"forest_depth_grid": []}), encoding="utf-8")
+    code = main(["train", "--config", str(path), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: train: forest_depth_grid must not be empty\n"

@@ -15,7 +15,17 @@ from attrition.evaluation import (
 )
 from attrition.features import FeatureConfig, encode_dataset, fit_schema
 from attrition.labeling import LabeledDataset, OutcomeLabel, label_all
-from attrition.models import train_logistic, predict_proba
+from attrition.models import (
+    ForestParams,
+    fit_knn,
+    forest_predict,
+    knn_predict,
+    predict_linear,
+    predict_proba,
+    train_forest,
+    train_logistic,
+    train_ridge,
+)
 
 from conftest import entry, simple_student
 
@@ -125,6 +135,75 @@ def test_cv_tune_breaks_ties_toward_smaller_values():
     value, means = cv_tune(x, y, "knn", [3, 5, 7], folds=3, seed=1)
     assert value == 3
     assert len(set(round(v, 12) for v in means.values())) == 1
+
+
+def reference_cv_means(x, y, grid, folds, seed, fit_and_score, metric="auc"):
+    """One fit per (value, fold), values outer: the protocol cv_tune must reproduce."""
+    blocks = kfold_indices(len(y), folds, seed)
+    fold_seeds = [int(s.generate_state(1, dtype=np.uint64)[0])
+                  for s in np.random.SeedSequence(seed).spawn(folds)]
+    means = {}
+    for value in sorted(grid):
+        scores = []
+        for va, fold_seed in zip(blocks, fold_seeds):
+            tr = np.setdiff1d(np.arange(len(y)), va)
+            pred = fit_and_score(value, x[tr], y[tr], x[va], fold_seed)
+            if metric == "auc":
+                scores.append(roc_and_auc(pred, y[va])[1])
+            else:
+                scores.append(float(np.sqrt(np.mean((pred - y[va]) ** 2))))
+        means[value] = float(np.mean(scores))
+    return means
+
+
+def test_cv_tune_forest_means_equal_growing_each_depth():
+    rng = np.random.default_rng(12)
+    x = rng.integers(0, 5, size=(150, 6)).astype(float)
+    y = (rng.random(150) < 0.3 + 0.1 * x[:, 1]).astype(float)
+    params = ForestParams(n_trees=4, max_depth=99, min_samples_leaf=2)
+    grid = [6, 1, 3, 2]
+
+    def grow(depth, x_tr, y_tr, x_va, fold_seed):
+        model = train_forest(x_tr, y_tr, ForestParams(4, depth, min_samples_leaf=2), fold_seed)
+        return forest_predict(model, x_va)
+
+    chosen, means = cv_tune(x, y, "random_forest", grid, folds=4, seed=13, forest_params=params)
+    expected = reference_cv_means(x, y, grid, 4, 13, grow)
+    assert means == expected
+    assert list(means) == [1, 2, 3, 6]
+    assert chosen == max(expected, key=expected.__getitem__)
+
+
+def test_cv_tune_knn_means_equal_one_fit_per_k():
+    # integer coordinates: many neighbours tie on distance
+    rng = np.random.default_rng(14)
+    x = rng.integers(-2, 3, size=(90, 3)).astype(float)
+    y = (rng.random(90) < 0.4 + 0.1 * x[:, 0]).astype(float)
+    grid = list(range(1, 40, 2))
+    _, means = cv_tune(x, y, "knn", grid, folds=5, seed=15)
+    expected = reference_cv_means(
+        x, y, grid, 5, 15, lambda k, x_tr, y_tr, x_va, _: knn_predict(fit_knn(x_tr, y_tr, k), x_va)
+    )
+    assert means == expected
+
+
+def test_cv_tune_linear_means_equal_one_fit_per_value():
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(80, 3))
+    y_class = (rng.random(80) < 1 / (1 + np.exp(-2 * x[:, 0]))).astype(float)
+    y_reg = x @ np.array([1.0, -2.0, 0.5]) + rng.normal(size=80)
+    grid = [10.0, 1e-3, 0.1]
+    _, lr_means = cv_tune(x, y_class, "logistic_regression", grid, folds=5, seed=17)
+    assert lr_means == reference_cv_means(
+        x, y_class, grid, 5, 17,
+        lambda lam, x_tr, y_tr, x_va, _: predict_proba(train_logistic(x_tr, y_tr, lam), x_va),
+    )
+    _, ridge_means = cv_tune(x, y_reg, "ridge", grid, folds=5, seed=17)
+    assert ridge_means == reference_cv_means(
+        x, y_reg, grid, 5, 17,
+        lambda lam, x_tr, y_tr, x_va, _: predict_linear(train_ridge(x_tr, y_tr, lam), x_va),
+        metric="rmse",
+    )
 
 
 # ---------------------------------------------------------------------------

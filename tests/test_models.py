@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from attrition.models import (
     train_forest,
     train_logistic,
     train_ridge,
+    truncate_forest,
 )
 
 # ---------------------------------------------------------------------------
@@ -257,6 +259,28 @@ def test_knn_many_queries_equal_one_at_a_time():
     assert knn_predict(fit_knn(x, y, 1), queries[0]) == 1.0
 
 
+def test_knn_grid_scores_equal_one_fit_per_k():
+    # integer coordinates make distance ties common; each k's row of the grid
+    # must equal a separate fit at that k and the brute-force enumeration
+    rng = np.random.default_rng(17)
+    x = rng.integers(-2, 3, size=(60, 4)).astype(float)
+    y = (rng.random(60) < 0.5).astype(float)
+    queries = rng.integers(-2, 3, size=(40, 4)).astype(float)
+    ks = list(range(1, 32, 2))
+    grid = knn_predict(fit_knn(x, y, ks[-1]), queries, ks=ks)
+    assert grid.shape == (len(ks), 40)
+    for row, k in zip(grid, ks):
+        assert np.array_equal(row, knn_predict(fit_knn(x, y, k), queries))
+        assert np.array_equal(row, [brute_force_knn(x, y, q, k) for q in queries])
+
+
+def test_knn_grid_validates_every_k():
+    model = fit_knn(np.arange(10.0)[:, None], np.arange(10.0) % 2, 5)
+    for ks in ([1, 4], [0, 3], [3, 7]):
+        with pytest.raises(ValueError, match="positive odd integer at most 5"):
+            knn_predict(model, np.zeros((2, 1)), ks=ks)
+
+
 def test_knn_validates_k():
     x = np.zeros((4, 2))
     y = np.array([0.0, 1.0, 0.0, 1.0])
@@ -357,6 +381,38 @@ def test_forest_depth_limit_respected():
 
     for tree in model.trees:
         assert depth_of(tree) <= 3
+
+
+def assert_same_forest(a, b):
+    assert a.params == b.params and a.seed == b.seed and len(a.trees) == len(b.trees)
+    for ta, tb in zip(a.trees, b.trees):
+        for name in ("feature", "threshold", "left", "right", "prob"):
+            assert np.array_equal(getattr(ta, name), getattr(tb, name)), name
+
+
+@pytest.mark.parametrize("min_split,min_leaf", [(2, 1), (6, 1), (2, 4), (12, 5)])
+def test_forest_grown_to_depth_equals_deepest_truncated(min_split, min_leaf):
+    # few distinct values per feature give tied thresholds and pure nodes at
+    # every depth; the shallow forests must be the deep one cut off
+    rng = np.random.default_rng(18)
+    x = rng.integers(0, 6, size=(240, 9)).astype(float)
+    y = (rng.random(240) < 0.25 + 0.1 * x[:, 0]).astype(float)
+    params = ForestParams(n_trees=6, max_depth=10, min_samples_split=min_split,
+                          min_samples_leaf=min_leaf)
+    deepest = train_forest(x, y, params, seed=23)
+    for depth in range(1, 11):
+        grown = train_forest(x, y, replace(params, max_depth=depth), seed=23)
+        assert_same_forest(truncate_forest(deepest, depth), grown)
+    assert_same_forest(truncate_forest(deepest, 10), deepest)
+
+
+def test_truncate_forest_cannot_deepen():
+    x, y = xor_dataset()
+    model = train_forest(x, y, ForestParams(n_trees=2, max_depth=2), seed=1)
+    with pytest.raises(ValueError, match="cannot truncate a depth-2 forest to depth 3"):
+        truncate_forest(model, 3)
+    with pytest.raises(ValueError, match="max_depth must be positive"):
+        truncate_forest(model, 0)
 
 
 # ---------------------------------------------------------------------------
