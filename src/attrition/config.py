@@ -52,6 +52,10 @@ class RunConfig:
                 f"degree_credits ({self.degree_credits}) must equal "
                 f"synth.degree_credits ({self.synth.degree_credits})"
             )
+        if not (isinstance(self.cv_folds, int) and self.cv_folds >= 2):
+            raise ValueError(f"cv_folds must be an integer >= 2, got {self.cv_folds!r}")
+        if not (isinstance(self.test_fraction, (int, float)) and 0 < self.test_fraction < 1):
+            raise ValueError(f"test_fraction must be inside (0, 1), got {self.test_fraction!r}")
         # grid checks: (field, what its values must be, the test each value must pass)
         for name, rule, ok in (
             ("lr_lambda_grid", "non-negative", lambda v: v >= 0),

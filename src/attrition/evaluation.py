@@ -27,7 +27,6 @@ from .models import (
     train_forest,
     train_logistic,
     train_ridge,
-    truncate_forest,
 )
 
 @dataclass(frozen=True)
@@ -142,9 +141,9 @@ def accuracy(
 def _grid_scores(kind: str, grid: list, x_tr, y_tr, x_va, forest_seed: int, params: ForestParams):
     """Validation scores of every value of the ascending grid, from one fold.
 
-    One forest grown to the deepest depth serves every depth, and one
-    neighbour sort per query serves every k; the linear models fit once per
-    value.
+    One forest grown to the deepest depth is read at every depth in one
+    traversal, and one neighbour sort per query serves every k; the linear
+    models fit once per value.
     """
     if kind == "logistic_regression":
         return [predict_proba(train_logistic(x_tr, y_tr, lam), x_va) for lam in grid]
@@ -152,7 +151,7 @@ def _grid_scores(kind: str, grid: list, x_tr, y_tr, x_va, forest_seed: int, para
         return list(knn_predict(fit_knn(x_tr, y_tr, grid[-1]), x_va, ks=grid))
     if kind == "random_forest":
         forest = train_forest(x_tr, y_tr, replace(params, max_depth=grid[-1]), forest_seed)
-        return [forest_predict(truncate_forest(forest, depth), x_va) for depth in grid]
+        return list(forest_predict(forest, x_va, depths=grid))
     if kind == "ridge":
         return [predict_linear(train_ridge(x_tr, y_tr, lam), x_va) for lam in grid]
     raise ValueError(f"unknown model kind {kind!r}")

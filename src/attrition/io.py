@@ -97,24 +97,14 @@ class _RowReader:
     def fail(self, line: int, column: str, message: str):
         raise DataFormatError(self.path, line, column, message)
 
-    def parse_int(self, row, line, column, minimum=None, maximum=None) -> int:
+    def parse_number(self, row, line, column, kind, minimum=None, maximum=None):
+        """The cell as `kind` (int or float), checked against the inclusive bounds."""
         raw = (row.get(column) or "").strip()
         try:
-            value = int(raw)
+            value = kind(raw)
         except ValueError:
-            self.fail(line, column, f"expected an integer, got {raw!r}")
-        if minimum is not None and value < minimum:
-            self.fail(line, column, f"value {value} below minimum {minimum}")
-        if maximum is not None and value > maximum:
-            self.fail(line, column, f"value {value} above maximum {maximum}")
-        return value
-
-    def parse_float(self, row, line, column, minimum=None, maximum=None) -> float:
-        raw = (row.get(column) or "").strip()
-        try:
-            value = float(raw)
-        except ValueError:
-            self.fail(line, column, f"expected a decimal number, got {raw!r}")
+            expected = "an integer" if kind is int else "a decimal number"
+            self.fail(line, column, f"expected {expected}, got {raw!r}")
         if minimum is not None and value < minimum:
             self.fail(line, column, f"value {value} below minimum {minimum}")
         if maximum is not None and value > maximum:
@@ -161,13 +151,13 @@ def load_students(
         gender = s_reader.parse_category(row, line, "gender", GENDERS)
         hispanic = s_reader.parse_flag(row, line, "hispanic")
         residency = s_reader.parse_category(row, line, "residency", RESIDENCIES)
-        birth_year = s_reader.parse_int(row, line, "birth_year", minimum=1900)
+        birth_year = s_reader.parse_number(row, line, "birth_year", int, minimum=1900)
         prev = s_reader.parse_category(row, line, "previous_schooling", PREVIOUS_SCHOOLING)
         sat_raw = (row.get("sat_score") or "").strip()
-        sat = s_reader.parse_int(row, line, "sat_score", 400, 1600) if sat_raw else None
+        sat = s_reader.parse_number(row, line, "sat_score", int, 400, 1600) if sat_raw else None
         act_raw = (row.get("act_score") or "").strip()
-        act = s_reader.parse_int(row, line, "act_score", 1, 36) if act_raw else None
-        credits = s_reader.parse_float(row, line, "transfer_credits", minimum=0.0)
+        act = s_reader.parse_number(row, line, "act_score", int, 1, 36) if act_raw else None
+        credits = s_reader.parse_number(row, line, "transfer_credits", float, minimum=0.0)
         majors_raw = (row.get("first_term_majors") or "").strip()
         majors = tuple(m for m in majors_raw.split(";") if m) if majors_raw else ()
         fig = s_reader.parse_flag(row, line, "fig_member")
@@ -184,19 +174,19 @@ def load_students(
         sid = (row.get("student_id") or "").strip()
         if sid not in transcripts:
             t_reader.fail(line, "student_id", f"transcript row for unknown student_id {sid!r}")
-        year = t_reader.parse_int(row, line, "year", minimum=1900)
+        year = t_reader.parse_number(row, line, "year", int, minimum=1900)
         quarter = t_reader.parse_category(row, line, "quarter", QUARTERS)
         department = (row.get("department") or "").strip()
         if not department:
             t_reader.fail(line, "department", "empty department code")
-        course_number = t_reader.parse_int(row, line, "course_number", minimum=0)
-        credits = t_reader.parse_float(row, line, "credits", minimum=0.0)
+        course_number = t_reader.parse_number(row, line, "course_number", int, minimum=0)
+        credits = t_reader.parse_number(row, line, "credits", float, minimum=0.0)
         if credits == 0.0:
             # every valid row bears a grade or mark, so it counts as
             # enrollment and needs positive credits
             t_reader.fail(line, "credits", "enrollment-counting entry must have credits > 0")
         grade_raw = (row.get("grade") or "").strip()
-        grade = t_reader.parse_float(row, line, "grade", 0.0, 4.0) if grade_raw else None
+        grade = t_reader.parse_number(row, line, "grade", float, 0.0, 4.0) if grade_raw else None
         mark = (row.get("mark") or "").strip() or None
         if grade is None and mark is None:
             t_reader.fail(line, "grade", "row has neither a numeric grade nor a mark")
@@ -212,7 +202,7 @@ def load_students(
             sid = (row.get("student_id") or "").strip()
             if sid not in degrees:
                 d_reader.fail(line, "student_id", f"degree row for unknown student_id {sid!r}")
-            year = d_reader.parse_int(row, line, "year", minimum=1900)
+            year = d_reader.parse_number(row, line, "year", int, minimum=1900)
             quarter = d_reader.parse_category(row, line, "quarter", QUARTERS)
             degrees[sid].append(Term(year, quarter))
 

@@ -1,16 +1,17 @@
 """From-scratch learners: regularized logistic/ridge regression, kNN, random forest.
 
-The two linear trainers share a batch gradient-descent engine with Armijo
-backtracking (Barzilai-Borwein initial step), which guarantees the loss is
-non-increasing at every accepted iterate. Training stops when the gradient
-infinity-norm drops below tolerance or the iteration cap is hit. All
-trainers are deterministic functions of (data, hyperparameters, seed).
+Logistic regression runs batch gradient descent with Armijo backtracking
+(Barzilai-Borwein initial step), which guarantees the loss is non-increasing
+at every accepted iterate; it stops when the gradient infinity-norm drops
+below tolerance or the iteration cap is hit. Ridge regression has a closed
+form and is solved exactly by least squares. All trainers are deterministic
+functions of (data, hyperparameters, seed).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -155,35 +156,15 @@ def train_logistic(
     return LinearModel(theta[:d], float(theta[d]), regularization, "classification", iters, history)
 
 
-def ridge_objective(
-    x: np.ndarray, y: np.ndarray, regularization: float, theta: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean squared error + lambda*||w||^2 and its gradient at theta = [w, b]."""
-    n, d = x.shape
-    w, b = theta[:d], theta[d]
-    r = x @ w + b - y
-    loss = float(np.mean(r * r) + regularization * (w @ w))
-    grad = np.empty(d + 1)
-    grad[:d] = 2.0 * (x.T @ r) / n + 2.0 * regularization * w
-    grad[d] = 2.0 * r.mean()
-    return loss, grad
-
-
-def train_ridge(
-    x: np.ndarray,
-    y: np.ndarray,
-    regularization: float,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
-) -> LinearModel:
-    """Ridge regression by gradient descent.
+def train_ridge(x: np.ndarray, y: np.ndarray, regularization: float) -> LinearModel:
+    """Ridge regression, solved exactly.
 
     Minimizes mean squared error + lambda * ||w||^2 with an unpenalized
-    intercept, matching the normal-equations solution
-    (X^T X + n*lambda*I)^-1 X^T y on centered data. The intercept is exact
-    for any weights (b = mean(y - Xw)), so descent runs on the centered
-    weight problem; this keeps the iteration count flat even when lambda
-    dwarfs the data curvature.
+    intercept. On centered data that is least squares of [Xc; sqrt(n*lambda) I]
+    against [yc; 0], whose solution is (Xc^T Xc + n*lambda*I)^-1 Xc^T yc;
+    `lstsq` also gives the minimum-norm weights at lambda = 0 when Xc is
+    rank-deficient (a constant or duplicated column). The intercept is
+    b = mean(y - Xw).
     """
     x, y = _check_design(x, y)
     if regularization < 0:
@@ -191,18 +172,11 @@ def train_ridge(
     n, d = x.shape
     x_mean = x.mean(axis=0)
     y_mean = float(y.mean())
-    xc = x - x_mean
-    yc = y - y_mean
-
-    def profiled(w: np.ndarray) -> tuple[float, np.ndarray]:
-        r = xc @ w - yc
-        loss = float(np.mean(r * r) + regularization * (w @ w))
-        grad = 2.0 * (xc.T @ r) / n + 2.0 * regularization * w
-        return loss, grad
-
-    w, iters, history = _minimize(profiled, np.zeros(d), max_iters, tol)
+    design = np.vstack([x - x_mean, math.sqrt(n * regularization) * np.eye(d)])
+    target = np.concatenate([y - y_mean, np.zeros(d)])
+    w = np.linalg.lstsq(design, target, rcond=None)[0]
     b = y_mean - float(x_mean @ w)
-    return LinearModel(w, b, regularization, "regression", iters, history)
+    return LinearModel(w, b, regularization, "regression")
 
 
 def predict_linear(model: LinearModel, x: np.ndarray) -> np.ndarray | float:
@@ -289,7 +263,6 @@ def knn_predict(
 class ForestParams:
     n_trees: int = 200
     max_depth: int = 8
-    features_per_split: int | None = None  # default: ceil(sqrt(d))
     min_samples_split: int = 2
     min_samples_leaf: int = 1
 
@@ -372,7 +345,7 @@ def _grow_tree(
 
     Node h (root 1, children 2h and 2h + 1) draws its features from a
     generator keyed by (node_key, h), so no split depends on max_depth: the
-    tree grown to depth d is this tree cut off at d (`truncate_forest`).
+    tree grown to depth d is this tree cut off at d (`forest_predict(depths=)`).
     """
     feature: list[int] = []
     threshold: list[float] = []
@@ -437,8 +410,7 @@ def train_forest(
     if len(np.unique(y)) < 2:
         raise ValueError("random forest needs both classes present")
     n, d = x.shape
-    nf = params.features_per_split or math.ceil(math.sqrt(d))
-    nf = min(nf, d)
+    nf = math.ceil(math.sqrt(d))
     seeds = np.random.SeedSequence(seed).spawn(params.n_trees)
     trees = []
     for tree_seed in seeds:
@@ -448,66 +420,39 @@ def train_forest(
     return ForestModel(trees, params, seed, d)
 
 
-def _truncate_tree(tree: _Tree, max_depth: int) -> _Tree:
-    keep = np.zeros(len(tree.feature), dtype=bool)
-    level = np.array([0])
-    for _ in range(max_depth):
-        keep[level] = True
-        inner = level[tree.feature[level] >= 0]
-        level = np.concatenate([tree.left[inner], tree.right[inner]])
-    keep[level] = True
-    cut = np.zeros_like(keep)
-    cut[level] = True  # the nodes at max_depth become leaves
-    feature = np.where(cut, -1, tree.feature)
-    inner = feature >= 0
-    new_index = np.cumsum(keep) - 1  # preorder survives dropping whole subtrees
-    return _Tree(
-        feature[keep],
-        np.where(cut, 0.0, tree.threshold)[keep],
-        np.where(inner, new_index[tree.left], -1)[keep],
-        np.where(inner, new_index[tree.right], -1)[keep],
-        tree.prob[keep],
-    )
+def _tree_predict(tree: _Tree, x: np.ndarray, depths: np.ndarray) -> np.ndarray:
+    """Class frequency of each row's node at each of `depths`, shape (len(depths), n).
 
-
-def truncate_forest(model: ForestModel, max_depth: int) -> ForestModel:
-    """The forest `train_forest` grows with `max_depth` in place of the model's.
-
-    Every node stores its class frequency and draws its features by its place
-    in the tree, so cutting each tree at `max_depth` reproduces, node for node,
-    the forest grown to that depth from the same data and seed.
+    The tree is walked one level at a time; a row that reaches a leaf above
+    a depth keeps that leaf's value there.
     """
-    if max_depth > model.params.max_depth:
-        raise ValueError(
-            f"cannot truncate a depth-{model.params.max_depth} forest to depth {max_depth}"
-        )
-    params = replace(model.params, max_depth=max_depth)
-    trees = [_truncate_tree(t, max_depth) for t in model.trees]
-    return ForestModel(trees, params, model.seed, model.n_features, model.schema_hash)
-
-
-def _tree_predict(tree: _Tree, x: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    out = np.empty(n)
-    idx = np.arange(n)
-    node = np.zeros(n, dtype=np.int64)
-    while idx.size:
-        feats = tree.feature[node]
-        at_leaf = feats < 0
-        if at_leaf.any():
-            out[idx[at_leaf]] = tree.prob[node[at_leaf]]
-            idx = idx[~at_leaf]
-            node = node[~at_leaf]
-            feats = feats[~at_leaf]
-        if not idx.size:
+    out = np.empty((len(depths), x.shape[0]))
+    node = np.zeros(x.shape[0], dtype=np.int64)
+    live = np.arange(x.shape[0])  # rows not yet at a leaf
+    top = int(depths.max(initial=0))
+    for level in range(top + 1):
+        out[depths == level] = tree.prob[node]
+        live = live[tree.feature[node[live]] >= 0]
+        if level == top or not live.size:
+            out[depths > level] = tree.prob[node]
             break
-        goes_left = x[idx, feats] <= tree.threshold[node]
-        node = np.where(goes_left, tree.left[node], tree.right[node])
+        at = node[live]
+        goes_left = x[live, tree.feature[at]] <= tree.threshold[at]
+        node[live] = np.where(goes_left, tree.left[at], tree.right[at])
     return out
 
 
-def forest_predict(model: ForestModel, x: np.ndarray) -> np.ndarray | float:
-    """Mean of per-tree leaf class frequencies."""
+def forest_predict(
+    model: ForestModel, x: np.ndarray, depths: Sequence[int] | None = None
+) -> np.ndarray | float:
+    """Mean of per-tree leaf class frequencies.
+
+    With `depths` (values from 1 to `model.params.max_depth`), one walk per
+    tree scores every depth in it and the result has shape
+    (len(depths), n_queries). Every node stores its class frequency and
+    draws its features by its place in the tree, so row i equals, bit for
+    bit, the forest grown to depths[i] from the same data and seed.
+    """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     mat = np.atleast_2d(x)
@@ -515,16 +460,17 @@ def forest_predict(model: ForestModel, x: np.ndarray) -> np.ndarray | float:
         raise ValueError(
             f"feature length {mat.shape[1]} does not match model dimension {model.n_features}"
         )
-    acc = np.zeros(mat.shape[0])
+    max_depth = model.params.max_depth
+    d_arr = np.array([max_depth] if depths is None else depths, dtype=np.int64)
+    if ((d_arr < 1) | (d_arr > max_depth)).any():
+        raise ValueError(f"every depth must be a positive integer at most {max_depth}, got {d_arr.tolist()}")
+    acc = np.zeros((len(d_arr), mat.shape[0]))
     for tree in model.trees:
-        acc += _tree_predict(tree, mat)
+        acc += _tree_predict(tree, mat, d_arr)
     acc /= len(model.trees)
-    return float(acc[0]) if single else acc
-
-
-def per_tree_probabilities(model: ForestModel, x: np.ndarray) -> np.ndarray:
-    mat = np.atleast_2d(np.asarray(x, dtype=float))
-    return np.stack([_tree_predict(tree, mat) for tree in model.trees])
+    if depths is not None:
+        return acc
+    return float(acc[0, 0]) if single else acc[0]
 
 
 # ---------------------------------------------------------------------------

@@ -60,3 +60,26 @@ def test_bad_grid_stops_the_first_stage(tmp_path, capsys):
     code = main(["train", "--config", str(path), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")])
     assert code == 1
     assert capsys.readouterr().err == "error: train: forest_depth_grid must not be empty\n"
+
+
+@pytest.mark.parametrize("raw,message", [
+    ({"cv_folds": 1}, "cv_folds must be an integer >= 2, got 1"),
+    ({"cv_folds": 0}, "cv_folds must be an integer >= 2, got 0"),
+    ({"cv_folds": 2.5}, "cv_folds must be an integer >= 2, got 2.5"),
+    ({"test_fraction": 0.0}, r"test_fraction must be inside \(0, 1\), got 0.0"),
+    ({"test_fraction": 1}, r"test_fraction must be inside \(0, 1\), got 1"),
+    ({"test_fraction": -0.3}, r"test_fraction must be inside \(0, 1\), got -0.3"),
+    ({"test_fraction": "0.3"}, r"test_fraction must be inside \(0, 1\), got '0.3'"),
+])
+def test_bad_fold_count_or_test_fraction_is_rejected(raw, message):
+    with pytest.raises(ValueError, match=message):
+        RunConfig.from_dict(raw)
+
+
+def test_single_fold_stops_generate_before_any_work(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"cv_folds": 1}), encoding="utf-8")
+    code = main(["generate", "--config", str(path), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: generate: cv_folds must be an integer >= 2, got 1\n"
+    assert not (tmp_path / "data").exists()

@@ -113,6 +113,30 @@ def test_malformed_row_names_file_line_and_column(tmp_path):
     assert "transcripts.csv" in err.value.file
 
 
+@pytest.mark.parametrize("file,index,row,context", [
+    ("students", 1, "S1,Asian,Female,0,Resident,19x0,Freshman,1200,,0,MAJ001,1",
+     "students.csv:2: column 'birth_year': expected an integer, got '19x0'"),
+    ("students", 2, "S2,Caucasian,Male,1,NonResident,1979,Transfer2Yr,,28,lots,,0",
+     "students.csv:3: column 'transfer_credits': expected a decimal number, got 'lots'"),
+    ("students", 1, "S1,Asian,Female,0,Resident,1850,Freshman,1200,,0,MAJ001,1",
+     "students.csv:2: column 'birth_year': value 1850 below minimum 1900"),
+    ("students", 1, "S1,Asian,Female,0,Resident,1980,Freshman,1700,,0,MAJ001,1",
+     "students.csv:2: column 'sat_score': value 1700 above maximum 1600"),
+    ("transcripts", 4, "S2,1998,autumn,MATH,098,-5,2.0,,1",
+     "transcripts.csv:5: column 'credits': value -5.0 below minimum 0.0"),
+    ("transcripts", 2, "S1,1998,autumn,ENGL,111,5.0,9.9,,0",
+     "transcripts.csv:3: column 'grade': value 9.9 above maximum 4.0"),
+])
+def test_numeric_cell_errors_name_file_line_and_column(tmp_path, file, index, row, context):
+    paths = dict(zip(("students", "transcripts"), two_student_files(tmp_path)))
+    lines = paths[file].read_text().splitlines()
+    lines[index] = row
+    write(paths[file], lines)
+    with pytest.raises(DataFormatError) as err:
+        load_students(paths["students"], paths["transcripts"])
+    assert str(err.value) == f"{tmp_path}/{context}"
+
+
 def test_zero_credit_enrollment_row_rejected(tmp_path):
     students, transcripts = two_student_files(tmp_path)
     lines = transcripts.read_text().splitlines()

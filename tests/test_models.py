@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from attrition.models import (
+    ForestModel,
     ForestParams,
     SchemaMismatchError,
     check_schema,
@@ -17,14 +18,11 @@ from attrition.models import (
     logistic_objective,
     model_from_dict,
     model_to_dict,
-    per_tree_probabilities,
     predict_proba,
-    ridge_objective,
     save_model,
     train_forest,
     train_logistic,
     train_ridge,
-    truncate_forest,
 )
 
 # ---------------------------------------------------------------------------
@@ -88,9 +86,6 @@ def test_loss_history_is_non_increasing():
     y = (rng.random(60) < 0.5).astype(float)
     model = train_logistic(x, y, 0.01)
     hist = np.array(model.loss_history)
-    assert (np.diff(hist) <= 1e-12).all()
-    ridge = train_ridge(x, rng.normal(size=60), 0.05)
-    hist = np.array(ridge.loss_history)
     assert (np.diff(hist) <= 1e-12).all()
 
 
@@ -177,16 +172,33 @@ def test_ridge_matches_normal_equations():
     assert abs(model.intercept - b) < 1e-4
 
 
-def test_ridge_gradient_matches_finite_differences():
+def test_ridge_gradient_vanishes_at_returned_weights():
+    # gradient of mean squared error + lambda*||w||^2 at theta = [w, b]
     rng = np.random.default_rng(13)
     x = rng.normal(size=(15, 4))
     y = rng.normal(size=15)
-    for _ in range(5):
-        theta = rng.normal(size=5)
-        _, analytic = ridge_objective(x, y, 0.7, theta)
-        numeric = central_difference(lambda t: ridge_objective(x, y, 0.7, t), theta)
-        rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-8)
-        assert rel.max() < 1e-4
+    for lam in (0.0, 1e-3, 0.7, 50.0):
+        model = train_ridge(x, y, lam)
+        r = x @ model.weights + model.intercept - y
+        grad_w = 2.0 * (x.T @ r) / len(y) + 2.0 * lam * model.weights
+        assert np.abs(grad_w).max() < 1e-10
+        assert abs(2.0 * r.mean()) < 1e-10
+
+
+def test_ridge_unregularized_on_rank_deficient_design():
+    # column 1 is constant and column 3 duplicates column 2, so X^T X is
+    # singular at lambda = 0: the minimum-norm solution splits the duplicated
+    # weight evenly and gives the constant column none
+    rng = np.random.default_rng(19)
+    base = rng.normal(size=(30, 2))
+    x = np.column_stack([base[:, 0], np.full(30, 0.3), base[:, 1], base[:, 1]])
+    y = 1.5 * base[:, 0] - 2.0 * base[:, 1] + 4.0
+    model = train_ridge(x, y, 0.0)
+    assert np.isfinite(model.weights).all()
+    assert model.weights[1] == 0.0
+    assert model.weights[2] == pytest.approx(model.weights[3], rel=1e-12)
+    assert model.weights[[0, 2]] == pytest.approx([1.5, -1.0], rel=1e-9)
+    assert model.intercept == pytest.approx(4.0, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +370,10 @@ def test_forest_probabilities_average_per_tree_leaves():
     model = train_forest(x, y, ForestParams(n_trees=15, max_depth=3), seed=2)
     queries = rng.normal(size=(20, 5))
     probs = forest_predict(model, queries)
-    per_tree = per_tree_probabilities(model, queries)
+    per_tree = [forest_predict(ForestModel([tree], model.params, model.seed, 5), queries)
+                for tree in model.trees]
     assert probs.min() >= 0.0 and probs.max() <= 1.0
-    assert np.allclose(probs, per_tree.mean(axis=0))
+    assert np.allclose(probs, np.mean(per_tree, axis=0))
 
 
 def test_forest_rejects_single_class():
@@ -383,36 +396,46 @@ def test_forest_depth_limit_respected():
         assert depth_of(tree) <= 3
 
 
-def assert_same_forest(a, b):
-    assert a.params == b.params and a.seed == b.seed and len(a.trees) == len(b.trees)
-    for ta, tb in zip(a.trees, b.trees):
-        for name in ("feature", "threshold", "left", "right", "prob"):
-            assert np.array_equal(getattr(ta, name), getattr(tb, name)), name
+def walk_to_leaves(model, queries):
+    """Oracle: each row walked to its leaf in each tree, trees summed in order."""
+    acc = np.zeros(len(queries))
+    for tree in model.trees:
+        for i, q in enumerate(queries):
+            node = 0
+            while tree.feature[node] >= 0:
+                go_left = q[tree.feature[node]] <= tree.threshold[node]
+                node = tree.left[node] if go_left else tree.right[node]
+            acc[i] += tree.prob[node]
+    return acc / len(model.trees)
 
 
 @pytest.mark.parametrize("min_split,min_leaf", [(2, 1), (6, 1), (2, 4), (12, 5)])
 def test_forest_grown_to_depth_equals_deepest_truncated(min_split, min_leaf):
     # few distinct values per feature give tied thresholds and pure nodes at
-    # every depth; the shallow forests must be the deep one cut off
+    # every depth; the deep forest read at depth d must score exactly like
+    # the forest grown to d
     rng = np.random.default_rng(18)
     x = rng.integers(0, 6, size=(240, 9)).astype(float)
     y = (rng.random(240) < 0.25 + 0.1 * x[:, 0]).astype(float)
+    queries = np.vstack([x, rng.integers(-1, 7, size=(200, 9)) + rng.random((200, 9))])
     params = ForestParams(n_trees=6, max_depth=10, min_samples_split=min_split,
                           min_samples_leaf=min_leaf)
     deepest = train_forest(x, y, params, seed=23)
+    read = forest_predict(deepest, queries, depths=range(1, 11))
+    assert read.shape == (10, len(queries))
     for depth in range(1, 11):
         grown = train_forest(x, y, replace(params, max_depth=depth), seed=23)
-        assert_same_forest(truncate_forest(deepest, depth), grown)
-    assert_same_forest(truncate_forest(deepest, 10), deepest)
+        assert np.array_equal(read[depth - 1], forest_predict(grown, queries))
+        assert np.array_equal(read[depth - 1], walk_to_leaves(grown, queries))
+    assert np.array_equal(read[-1], forest_predict(deepest, queries))
 
 
-def test_truncate_forest_cannot_deepen():
+def test_forest_depths_must_lie_within_the_model():
     x, y = xor_dataset()
     model = train_forest(x, y, ForestParams(n_trees=2, max_depth=2), seed=1)
-    with pytest.raises(ValueError, match="cannot truncate a depth-2 forest to depth 3"):
-        truncate_forest(model, 3)
-    with pytest.raises(ValueError, match="max_depth must be positive"):
-        truncate_forest(model, 0)
+    for depths in ([0, 2], [1, 3], [-1]):
+        with pytest.raises(ValueError, match="every depth must be a positive integer at most 2"):
+            forest_predict(model, x, depths=depths)
 
 
 # ---------------------------------------------------------------------------
