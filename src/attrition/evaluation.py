@@ -208,7 +208,6 @@ def screen_features(
     y_train: np.ndarray,
     x_test: np.ndarray,
     y_test: np.ndarray,
-    max_iters: int = 4000,
 ) -> list[ScreenRow]:
     """One univariate logistic regression (with intercept) per feature.
 
@@ -220,7 +219,7 @@ def screen_features(
     for j, name in enumerate(feature_names):
         col_tr = x_train[:, j : j + 1]
         degenerate = bool(col_tr.max() == col_tr.min())
-        model = train_logistic(col_tr, y_train, 0.0, max_iters=max_iters)
+        model = train_logistic(col_tr, y_train, 0.0)
         scores = predict_proba(model, x_test[:, j : j + 1])
         _, auc = roc_and_auc(scores, y_test)
         rows.append(ScreenRow(name, accuracy(scores, y_test), auc, degenerate))

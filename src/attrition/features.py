@@ -133,7 +133,8 @@ class Imputer:
     Regression mode fits least squares of each observed score on demographic
     and entry dummies plus birth year, with a second-stage model that also
     uses the other score for rows where it is observed. Fit on training rows
-    only. Mean mode falls back to training means.
+    only. Mean mode, and a score observed on fewer than 2 training rows,
+    fall back to training means.
     """
 
     SAT_RANGE = (400.0, 1600.0)
@@ -166,8 +167,6 @@ class Imputer:
         self.act_mean = float(np.mean([s.entry.act_score for s in act_rows]))
         if self.mode == "mean":
             return self
-        if len(sat_rows) < 2 or len(act_rows) < 2:
-            raise ValueError("regression imputation needs at least 2 observed rows per score")
 
         def lstsq(rows, target, extra):
             a = np.array([self._base_row(s) + ([float(extra(s))] if extra else []) for s in rows])
@@ -175,8 +174,10 @@ class Imputer:
             w, *_ = np.linalg.lstsq(a, b, rcond=None)
             return w
 
-        self._weights["sat_base"] = lstsq(sat_rows, lambda s: s.entry.sat_score, None)
-        self._weights["act_base"] = lstsq(act_rows, lambda s: s.entry.act_score, None)
+        if len(sat_rows) >= 2:
+            self._weights["sat_base"] = lstsq(sat_rows, lambda s: s.entry.sat_score, None)
+        if len(act_rows) >= 2:
+            self._weights["act_base"] = lstsq(act_rows, lambda s: s.entry.act_score, None)
         sat_with_act = [s for s in sat_rows if s.entry.act_score is not None]
         act_with_sat = [s for s in act_rows if s.entry.sat_score is not None]
         if len(sat_with_act) >= 2:

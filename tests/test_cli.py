@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -183,6 +184,7 @@ def test_schema_hash_mismatch_refused(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "schema" in captured.err.lower()
+    assert "rerun 'train'" in captured.err
 
 
 def test_seed_flag_overrides_all_seeds(tmp_path):
@@ -220,3 +222,41 @@ def test_cv_failure_names_model_and_fold(tmp_path, capsys):
         r"error: train: (logistic_regression|knn|random_forest) fold \d+/10: ROC needs both classes present\n",
         captured.err,
     )
+
+
+@pytest.mark.parametrize(
+    "filename, edit",
+    [
+        # a forest written before `features_per_split` was dropped from ForestParams
+        ("model_random_forest.json", lambda m: m["params"].update(features_per_split=None)),
+        ("model_logistic_regression.json", lambda m: m.pop("weights")),
+    ],
+)
+def test_unreadable_model_file_names_file_and_train(tmp_path, capsys, filename, edit):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    data = tmp_path / "data"
+    for sub in ("generate", "label", "featurize", "train"):
+        assert run([sub, "--config", config, "--data", data, "--out", out]) == 0
+    payload = json.loads((out / filename).read_text())
+    edit(payload)
+    (out / filename).write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    code = run(["evaluate", "--config", config, "--data", data, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: evaluate: ")
+    assert filename in captured.err and "rerun 'train'" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_timing_runs_on_a_150_student_cohort(tmp_path):
+    # so few students that regression imputation sees fewer than 2 rows of a score
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"synth": {"n_students": 150}}), encoding="utf-8")
+    out = tmp_path / "out"
+    data = tmp_path / "data"
+    for sub in ("generate", "label", "timing"):
+        assert run([sub, "--config", path, "--data", data, "--out", out]) == 0
+    timing = json.loads((out / "timing.json").read_text())
+    assert math.isfinite(timing["rmse"]) and timing["rmse"] > 0

@@ -114,6 +114,17 @@ def test_imputer_requires_observed_scores():
             fit_imputer(as_dataset(records), mode)
 
 
+def test_regression_imputation_with_one_observed_sat_uses_its_value():
+    records = [simple_student(sid="S0", sat=1310, act=22, entries=[entry("S0", 1998, "autumn", "MATH")])]
+    records += [
+        simple_student(sid=f"S{i}", sat=None, act=18 + i, entries=[entry(f"S{i}", 1998, "autumn", "MATH")])
+        for i in range(1, 8)
+    ]
+    imp = fit_imputer(as_dataset(records), "regression")
+    assert imp.sat(simple_student(sid="T", sat=None, act=30)) == pytest.approx(1310.0)
+    assert imp.sat(simple_student(sid="U", sat=None, act=None)) == pytest.approx(1310.0)
+
+
 def test_regression_imputation_tracks_linear_relation():
     # SAT is an exact linear function of ACT; half the rows hide SAT.
     rng = np.random.default_rng(1)

@@ -6,6 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from attrition.config import RunConfig
+from attrition.evaluation import split
+from attrition.features import encode_dataset, fit_schema
+from attrition.labeling import balance, label_all
 from attrition.models import (
     ForestModel,
     ForestParams,
@@ -24,6 +28,7 @@ from attrition.models import (
     train_logistic,
     train_ridge,
 )
+from attrition.synthetic import generate_cohort
 
 # ---------------------------------------------------------------------------
 # logistic regression
@@ -87,6 +92,100 @@ def test_loss_history_is_non_increasing():
     model = train_logistic(x, y, 0.01)
     hist = np.array(model.loss_history)
     assert (np.diff(hist) <= 1e-12).all()
+
+
+def gradient_descent_oracle(loss_and_grad, theta0, max_iters=10_000, tol=1e-6):
+    """The Barzilai-Borwein gradient descent that logistic regression used to run.
+
+    Batch gradient descent with Armijo backtracking (c = 1e-4, factor 0.5);
+    returns (theta, iterations, loss history).
+    """
+    theta = np.array(theta0, dtype=float)
+    loss, grad = loss_and_grad(theta)
+    history = [loss]
+    prev_theta = prev_grad = None
+    iteration = 0
+    while iteration < max_iters:
+        gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
+        if gnorm < tol:
+            break
+        step = 1.0
+        if prev_theta is not None:
+            s = theta - prev_theta
+            dg = grad - prev_grad
+            denom = float(s @ dg)
+            if denom > 0:
+                step = float(s @ s) / denom
+                step = min(max(step, 1e-12), 1e12)
+        gsq = float(grad @ grad)
+        accepted = False
+        for _ in range(80):
+            candidate = theta - step * grad
+            cand_loss, cand_grad = loss_and_grad(candidate)
+            if cand_loss <= loss - 1e-4 * step * gsq:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        prev_theta, prev_grad = theta, grad
+        theta, loss, grad = candidate, cand_loss, cand_grad
+        history.append(loss)
+        iteration += 1
+    return theta, iteration, history
+
+
+@pytest.fixture(scope="module")
+def default_train_matrix():
+    """The standardized training matrix of `attrition pipeline --seed 201` at default settings."""
+    cfg = RunConfig().override_seed(201)
+    records, _ = generate_cohort(cfg.synth)
+    balanced = balance(label_all(records, cfg.degree_credits), cfg.sampling_seed)
+    train, _ = split(balanced, cfg.test_fraction, cfg.split_seed)
+    _, x, y = encode_dataset(train, fit_schema(train, cfg.feature_config()), standardize=True)
+    assert x.shape == (387, 90)
+    return x, y
+
+
+def newton_against_oracle(x, y, lam):
+    model = train_logistic(x, y, lam)
+    newton = np.append(model.weights, model.intercept)
+    oracle, _, _ = gradient_descent_oracle(lambda t: logistic_objective(x, y, lam, t), np.zeros(x.shape[1] + 1))
+    newton_loss, newton_grad = logistic_objective(x, y, lam, newton)
+    oracle_loss, _ = logistic_objective(x, y, lam, oracle)
+    assert newton_loss <= oracle_loss + 1e-12
+    if lam >= 0.1:
+        assert np.abs(newton - oracle).max() < 1e-4
+    return np.abs(newton_grad).max()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_newton_loss_at_most_gradient_descent_on_random_problems(seed):
+    rng = np.random.default_rng(seed)
+    n, d = rng.integers(30, 200), rng.integers(1, 12)
+    x = rng.normal(size=(n, d)) * rng.uniform(0.2, 5.0, size=d)
+    y = (x @ rng.normal(size=d) + rng.logistic(size=n) > 0).astype(float)
+    for lam in (1e-3, 1e-2, 0.1, 1.0, 10.0):
+        assert newton_against_oracle(x, y, lam) < 1e-9
+
+
+def test_newton_on_default_train_matrix_beats_gradient_descent(default_train_matrix):
+    x, y = default_train_matrix
+    for lam in RunConfig().lr_lambda_grid:
+        assert newton_against_oracle(x, y, lam) < 1e-9
+
+
+def test_newton_single_column_edge_cases_give_finite_weights():
+    y = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+    for column in ([0.0] * 6, [2.5] * 6):  # constant: singular Hessian at lambda = 0
+        model = train_logistic(np.array(column)[:, None], y, 0.0)
+        assert np.isfinite(model.weights).all() and math.isfinite(model.intercept)
+        assert predict_proba(model, np.array([column[0]])) == pytest.approx(1 / 3)
+    separable = np.array([-3.0, -2.0, 1.0, -1.0, 2.0, 3.0])[:, None]
+    model = train_logistic(separable, (separable[:, 0] > 0).astype(float), 0.0)
+    assert np.isfinite(model.weights).all() and math.isfinite(model.intercept)
+    assert model.weights[0] > 0
+    assert (np.diff(model.loss_history) <= 0).all()
 
 
 def test_weight_norm_decreases_with_regularization():
