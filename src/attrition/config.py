@@ -7,13 +7,13 @@ config alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .features import DEFAULT_GATEKEEPER_DEPARTMENTS, FeatureConfig
 from .io import read_json
 from .models import ForestParams
-from .synthetic import SynthConfig
+from .synthetic import SynthConfig, config_kwargs
 
 
 def _default_knn_grid() -> tuple[int, ...]:
@@ -75,18 +75,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        raw = dict(raw)
-        if "synth" in raw and isinstance(raw["synth"], dict):
-            raw["synth"] = SynthConfig.from_dict(raw["synth"])
-        for tup in ("gatekeeper_range", "lr_lambda_grid", "knn_k_grid",
-                    "forest_depth_grid", "timing_lambda_grid"):
-            if tup in raw:
-                raw[tup] = tuple(raw[tup])
-        return cls(**raw)
+        kwargs = config_kwargs(cls, raw, "config", ("gatekeeper_range", "lr_lambda_grid", "knn_k_grid",
+                                                    "forest_depth_grid", "timing_lambda_grid"))
+        if "synth" in kwargs:
+            kwargs["synth"] = SynthConfig.from_dict(kwargs["synth"])
+        return cls(**kwargs)
 
     def override_seed(self, seed: int) -> "RunConfig":
         """One seed to rule them all: split, CV, sampling, and generation."""

@@ -48,7 +48,6 @@ class ScreenRow:
     feature: str
     accuracy: float
     auc: float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -212,17 +211,16 @@ def screen_features(
     """One univariate logistic regression (with intercept) per feature.
 
     Trains on the standardized training column, reports test accuracy and
-    AUC, sorted by AUC descending. Columns constant in training are flagged
-    degenerate and score AUC 0.5 by construction.
+    AUC, sorted by AUC descending. A column constant in training scores
+    AUC 0.5 by construction.
     """
     rows: list[ScreenRow] = []
     for j, name in enumerate(feature_names):
         col_tr = x_train[:, j : j + 1]
-        degenerate = bool(col_tr.max() == col_tr.min())
         model = train_logistic(col_tr, y_train, 0.0)
         scores = predict_proba(model, x_test[:, j : j + 1])
         _, auc = roc_and_auc(scores, y_test)
-        rows.append(ScreenRow(name, accuracy(scores, y_test), auc, degenerate))
+        rows.append(ScreenRow(name, accuracy(scores, y_test), auc))
     rows.sort(key=lambda r: (-r.auc, r.feature))
     return rows
 

@@ -3,8 +3,14 @@
 All CSV files are UTF-8 with a header row, LF line ends and "." decimal
 point; floats are written as ``repr`` so they read back exactly. JSON files
 have sorted keys and end in a newline. `write_csv`/`read_csv` and
-`write_json`/`read_json` are the only code that writes or reads them; the
-validating `load_students` checks the registrar inputs row by row.
+`write_json`/`read_json` are the only code that writes or reads them.
+
+`load_students` reads the registrar inputs. It owns only the file-level
+rules: required columns, cell syntax (integer, decimal, 0/1 flag, blank as
+missing) and empty, duplicate or unknown student ids. Every domain rule (bounds,
+categories, grade-or-mark, positive credits, a non-empty transcript) is checked
+once, by the record constructors in `records`. Either kind of error is raised
+as a `DataFormatError` that names ``file:line: column``.
 
 Registrar input files:
 
@@ -26,13 +32,9 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .records import (
-    GENDERS,
-    PREVIOUS_SCHOOLING,
-    QUARTERS,
-    RACES,
-    RESIDENCIES,
     Demographics,
     EntryInfo,
+    FieldError,
     StudentRecord,
     Term,
     TranscriptEntry,
@@ -77,51 +79,58 @@ class DataFormatError(ValueError):
         super().__init__(f"{self.file}:{line}: column {column!r}: {message}")
 
 
-class _RowReader:
-    """DictReader wrapper that raises DataFormatError with file/line context."""
+_EXPECTED = {int: "an integer", float: "a decimal number", bool: "0 or 1"}
 
-    def __init__(self, path: str | Path, required: Sequence[str]):
-        self.path = Path(path)
-        self.required = tuple(required)
 
-    def rows(self):
-        with open(self.path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            missing = [c for c in self.required if c not in header]
-            if missing:
-                raise DataFormatError(self.path, 1, missing[0], "missing required column")
-            for row in reader:
-                yield reader.line_num, row
+def _cell(row: dict[str, str], column: str, kind: type = str, optional: bool = False):
+    """The stripped cell as `kind`: str, int, float, or bool for a 0/1 flag.
 
-    def fail(self, line: int, column: str, message: str):
-        raise DataFormatError(self.path, line, column, message)
-
-    def parse_number(self, row, line, column, kind, minimum=None, maximum=None):
-        """The cell as `kind` (int or float), checked against the inclusive bounds."""
-        raw = (row.get(column) or "").strip()
-        try:
-            value = kind(raw)
-        except ValueError:
-            expected = "an integer" if kind is int else "a decimal number"
-            self.fail(line, column, f"expected {expected}, got {raw!r}")
-        if minimum is not None and value < minimum:
-            self.fail(line, column, f"value {value} below minimum {minimum}")
-        if maximum is not None and value > maximum:
-            self.fail(line, column, f"value {value} above maximum {maximum}")
-        return value
-
-    def parse_flag(self, row, line, column) -> bool:
-        raw = (row.get(column) or "").strip()
-        if raw not in ("0", "1"):
-            self.fail(line, column, f"expected 0 or 1, got {raw!r}")
-        return raw == "1"
-
-    def parse_category(self, row, line, column, allowed) -> str:
-        raw = (row.get(column) or "").strip()
-        if raw not in allowed:
-            self.fail(line, column, f"unknown category {raw!r}, expected one of {sorted(allowed)}")
+    A blank cell is None when `optional`; a cell that does not parse raises
+    FieldError.
+    """
+    raw = (row.get(column) or "").strip()
+    if optional and not raw:
+        return None
+    if kind is str:
         return raw
+    if kind is bool:
+        if raw in ("0", "1"):
+            return raw == "1"
+    else:
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    raise FieldError(column, f"expected {_EXPECTED[kind]}, got {raw!r}")
+
+
+def _known_id(row: dict[str, str], rows_by_id: dict, what: str) -> str:
+    sid = _cell(row, "student_id")
+    if sid not in rows_by_id:
+        raise FieldError("student_id", f"{what} row for unknown student_id {sid!r}")
+    return sid
+
+
+def _at(path: str | Path, line: int, build, *args):
+    """`build(*args)`, with a FieldError reported as a DataFormatError at `path`:`line`."""
+    try:
+        return build(*args)
+    except FieldError as exc:
+        raise DataFormatError(path, line, exc.field, str(exc)) from exc
+
+
+def _each_row(path: str | Path, columns: Sequence[str], handle) -> None:
+    """Call `handle(line, row)` on every data row of the CSV file at `path`.
+
+    The header must name every one of `columns`.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or [])]
+        if missing:
+            raise DataFormatError(path, 1, missing[0], "missing required column")
+        for row in reader:
+            _at(path, reader.line_num, handle, reader.line_num, row)
 
 
 def load_students(
@@ -129,91 +138,52 @@ def load_students(
     transcripts_file: str | Path,
     degrees_file: str | Path | None = None,
 ) -> list[StudentRecord]:
-    """Load and validate student records from CSV files.
+    """Load student records from the registrar CSV files.
 
-    Every transcript row must attach to exactly one student, every student
-    needs at least one transcript entry, and ``first_term`` is derived from
-    the transcript rather than read. Degree terms are optional; omitting the
-    degrees file yields records with empty ``degree_terms``.
+    Here only the files are checked: required columns, cell syntax, and
+    empty, duplicate or unknown student ids. The record constructors check
+    every domain rule, and their errors are reported here at the file, line
+    and column of the row. Omitting the degrees file yields records with
+    empty ``degree_terms``.
     """
-    s_reader = _RowReader(students_file, STUDENT_COLUMNS)
-    demo_by_id: dict[str, Demographics] = {}
-    entry_by_id: dict[str, EntryInfo] = {}
-    order: list[str] = []
+    students: dict[str, tuple[int, Demographics, EntryInfo]] = {}
 
-    for line, row in s_reader.rows():
-        sid = (row.get("student_id") or "").strip()
+    def student(line, row):
+        sid = _cell(row, "student_id")
         if not sid:
-            s_reader.fail(line, "student_id", "empty student_id")
-        if sid in demo_by_id:
-            s_reader.fail(line, "student_id", f"duplicate student_id {sid!r}")
-        race = s_reader.parse_category(row, line, "race", RACES)
-        gender = s_reader.parse_category(row, line, "gender", GENDERS)
-        hispanic = s_reader.parse_flag(row, line, "hispanic")
-        residency = s_reader.parse_category(row, line, "residency", RESIDENCIES)
-        birth_year = s_reader.parse_number(row, line, "birth_year", int, minimum=1900)
-        prev = s_reader.parse_category(row, line, "previous_schooling", PREVIOUS_SCHOOLING)
-        sat_raw = (row.get("sat_score") or "").strip()
-        sat = s_reader.parse_number(row, line, "sat_score", int, 400, 1600) if sat_raw else None
-        act_raw = (row.get("act_score") or "").strip()
-        act = s_reader.parse_number(row, line, "act_score", int, 1, 36) if act_raw else None
-        credits = s_reader.parse_number(row, line, "transfer_credits", float, minimum=0.0)
-        majors_raw = (row.get("first_term_majors") or "").strip()
-        majors = tuple(m for m in majors_raw.split(";") if m) if majors_raw else ()
-        fig = s_reader.parse_flag(row, line, "fig_member")
-        try:
-            demo_by_id[sid] = Demographics(race, gender, hispanic, residency, birth_year)
-            entry_by_id[sid] = EntryInfo(prev, sat, act, credits, majors, fig)
-        except ValueError as exc:
-            s_reader.fail(line, "student_id", str(exc))
-        order.append(sid)
+            raise FieldError("student_id", "empty student_id")
+        if sid in students:
+            raise FieldError("student_id", f"duplicate student_id {sid!r}")
+        demographics = Demographics(_cell(row, "race"), _cell(row, "gender"), _cell(row, "hispanic", bool),
+                                    _cell(row, "residency"), _cell(row, "birth_year", int))
+        majors = tuple(m for m in _cell(row, "first_term_majors").split(";") if m)
+        entry = EntryInfo(_cell(row, "previous_schooling"), _cell(row, "sat_score", int, optional=True),
+                          _cell(row, "act_score", int, optional=True), _cell(row, "transfer_credits", float),
+                          majors, _cell(row, "fig_member", bool))
+        students[sid] = (line, demographics, entry)
 
-    t_reader = _RowReader(transcripts_file, TRANSCRIPT_COLUMNS)
-    transcripts: dict[str, list[TranscriptEntry]] = {sid: [] for sid in order}
-    for line, row in t_reader.rows():
-        sid = (row.get("student_id") or "").strip()
-        if sid not in transcripts:
-            t_reader.fail(line, "student_id", f"transcript row for unknown student_id {sid!r}")
-        year = t_reader.parse_number(row, line, "year", int, minimum=1900)
-        quarter = t_reader.parse_category(row, line, "quarter", QUARTERS)
-        department = (row.get("department") or "").strip()
-        if not department:
-            t_reader.fail(line, "department", "empty department code")
-        course_number = t_reader.parse_number(row, line, "course_number", int, minimum=0)
-        credits = t_reader.parse_number(row, line, "credits", float, minimum=0.0)
-        if credits == 0.0:
-            # every valid row bears a grade or mark, so it counts as
-            # enrollment and needs positive credits
-            t_reader.fail(line, "credits", "enrollment-counting entry must have credits > 0")
-        grade_raw = (row.get("grade") or "").strip()
-        grade = t_reader.parse_number(row, line, "grade", float, 0.0, 4.0) if grade_raw else None
-        mark = (row.get("mark") or "").strip() or None
-        if grade is None and mark is None:
-            t_reader.fail(line, "grade", "row has neither a numeric grade nor a mark")
-        remedial = t_reader.parse_flag(row, line, "remedial")
-        transcripts[sid].append(
-            TranscriptEntry(sid, Term(year, quarter), department, course_number, credits, grade, mark, remedial)
-        )
+    _each_row(students_file, STUDENT_COLUMNS, student)
+    transcripts: dict[str, list[TranscriptEntry]] = {sid: [] for sid in students}
+    degrees: dict[str, list[Term]] = {sid: [] for sid in students}
 
-    degrees: dict[str, list[Term]] = {sid: [] for sid in order}
+    def transcript(line, row):
+        sid = _known_id(row, transcripts, "transcript")
+        term = Term(_cell(row, "year", int), _cell(row, "quarter"))
+        transcripts[sid].append(TranscriptEntry(
+            sid, term, _cell(row, "department"), _cell(row, "course_number", int), _cell(row, "credits", float),
+            _cell(row, "grade", float, optional=True), _cell(row, "mark", optional=True), _cell(row, "remedial", bool),
+        ))
+
+    def degree(line, row):
+        degrees[_known_id(row, degrees, "degree")].append(Term(_cell(row, "year", int), _cell(row, "quarter")))
+
+    _each_row(transcripts_file, TRANSCRIPT_COLUMNS, transcript)
     if degrees_file is not None:
-        d_reader = _RowReader(degrees_file, DEGREE_COLUMNS)
-        for line, row in d_reader.rows():
-            sid = (row.get("student_id") or "").strip()
-            if sid not in degrees:
-                d_reader.fail(line, "student_id", f"degree row for unknown student_id {sid!r}")
-            year = d_reader.parse_number(row, line, "year", int, minimum=1900)
-            quarter = d_reader.parse_category(row, line, "quarter", QUARTERS)
-            degrees[sid].append(Term(year, quarter))
-
-    records = []
-    for sid in order:
-        if not transcripts[sid]:
-            raise ValueError(f"student {sid} has no transcript entries")
-        records.append(
-            make_student(sid, demo_by_id[sid], entry_by_id[sid], transcripts[sid], degrees[sid])
-        )
-    return records
+        _each_row(degrees_file, DEGREE_COLUMNS, degree)
+    return [
+        _at(students_file, line, make_student, sid, demographics, entry, transcripts[sid], degrees[sid])
+        for sid, (line, demographics, entry) in students.items()
+    ]
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

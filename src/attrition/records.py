@@ -4,12 +4,18 @@ Everything here is immutable after construction and safe to share across
 threads. Calendar terms follow a four-quarter year in calendar order
 (winter < spring < summer < autumn), which keeps quarter arithmetic a plain
 integer subtraction.
+
+The record constructors are the only place a domain rule is checked: every
+bound, every category, grade-or-mark, positive credits and a non-empty
+transcript. A broken rule raises `FieldError`, which names the field; field
+names equal the CSV column names, so `io.load_students`, which only parses
+cells, reports it at ``file:line: column``.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 QUARTERS = ("winter", "spring", "summer", "autumn")
 
@@ -36,6 +42,33 @@ RESIDENCIES = (
 MIN_YEAR = 1900
 
 
+class FieldError(ValueError):
+    """A value that breaks a rule of the record field (and CSV column) `field`."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(message)
+
+
+def _check_year(name: str, value) -> None:
+    if not isinstance(value, int):
+        raise FieldError(name, f"expected an integer, got {value!r}")
+    _check_bounds(name, value, MIN_YEAR)
+
+
+def _check_bounds(name: str, value, minimum, maximum=None) -> None:
+    """Raise FieldError unless `minimum` <= `value` (<= `maximum` when given)."""
+    if value < minimum:
+        raise FieldError(name, f"value {value} below minimum {minimum}")
+    if maximum is not None and value > maximum:
+        raise FieldError(name, f"value {value} above maximum {maximum}")
+
+
+def _check_category(name: str, value, allowed: tuple[str, ...]) -> None:
+    if value not in allowed:
+        raise FieldError(name, f"unknown category {value!r}, expected one of {sorted(allowed)}")
+
+
 @functools.total_ordering
 @dataclass(frozen=True)
 class Term:
@@ -45,10 +78,8 @@ class Term:
     quarter: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.year, int) or self.year < MIN_YEAR:
-            raise ValueError(f"term year must be an integer >= {MIN_YEAR}, got {self.year!r}")
-        if self.quarter not in QUARTERS:
-            raise ValueError(f"quarter must be one of {QUARTERS}, got {self.quarter!r}")
+        _check_year("year", self.year)
+        _check_category("quarter", self.quarter, QUARTERS)
 
     def __lt__(self, other: "Term") -> bool:
         return term_index(self) < term_index(other)
@@ -77,12 +108,10 @@ class Demographics:
     birth_year: int
 
     def __post_init__(self) -> None:
-        if self.race not in RACES:
-            raise ValueError(f"unknown race category {self.race!r}")
-        if self.gender not in GENDERS:
-            raise ValueError(f"unknown gender category {self.gender!r}")
-        if not isinstance(self.birth_year, int) or self.birth_year < MIN_YEAR:
-            raise ValueError(f"birth_year must be an integer >= {MIN_YEAR}, got {self.birth_year!r}")
+        _check_category("race", self.race, RACES)
+        _check_category("gender", self.gender, GENDERS)
+        _check_category("residency", self.residency, RESIDENCIES)
+        _check_year("birth_year", self.birth_year)
 
 
 @dataclass(frozen=True)
@@ -97,16 +126,14 @@ class EntryInfo:
     fig_member: bool = False
 
     def __post_init__(self) -> None:
-        if self.previous_schooling not in PREVIOUS_SCHOOLING:
-            raise ValueError(f"unknown previous_schooling {self.previous_schooling!r}")
-        if self.sat_score is not None and not 400 <= self.sat_score <= 1600:
-            raise ValueError(f"sat_score out of range [400, 1600]: {self.sat_score}")
-        if self.act_score is not None and not 1 <= self.act_score <= 36:
-            raise ValueError(f"act_score out of range [1, 36]: {self.act_score}")
-        if self.transfer_credits < 0:
-            raise ValueError(f"transfer_credits must be non-negative, got {self.transfer_credits}")
+        _check_category("previous_schooling", self.previous_schooling, PREVIOUS_SCHOOLING)
+        if self.sat_score is not None:
+            _check_bounds("sat_score", self.sat_score, 400, 1600)
+        if self.act_score is not None:
+            _check_bounds("act_score", self.act_score, 1, 36)
+        _check_bounds("transfer_credits", self.transfer_credits, 0.0)
         if self.previous_schooling == "Freshman" and self.transfer_credits != 0:
-            raise ValueError("freshman entrants must have zero transfer credits")
+            raise FieldError("transfer_credits", "freshman entrants must have zero transfer credits")
         object.__setattr__(self, "first_term_majors", tuple(self.first_term_majors))
 
 
@@ -129,12 +156,18 @@ class TranscriptEntry:
     remedial: bool = False
 
     def __post_init__(self) -> None:
-        if self.grade is not None and not 0.0 <= self.grade <= 4.0:
-            raise ValueError(f"grade out of range [0.0, 4.0]: {self.grade}")
-        if self.credits < 0:
-            raise ValueError(f"credits must be non-negative, got {self.credits}")
-        if self.grade is None and not self.mark:
-            raise ValueError("entry needs a numeric grade or a non-numeric mark")
+        if not self.department:
+            raise FieldError("department", "empty department code")
+        _check_bounds("course_number", self.course_number, 0)
+        _check_bounds("credits", self.credits, 0.0)
+        if self.credits == 0.0:
+            # every valid entry bears a grade or mark, so it counts as enrollment
+            # and needs positive credits
+            raise FieldError("credits", "enrollment-counting entry must have credits > 0")
+        if self.grade is not None:
+            _check_bounds("grade", self.grade, 0.0, 4.0)
+        elif not self.mark:
+            raise FieldError("grade", "entry has neither a numeric grade nor a mark")
 
 
 def transcript_sort_key(entry: TranscriptEntry) -> tuple[int, int, str]:
@@ -153,7 +186,7 @@ class StudentRecord:
     student_id: str
     demographics: Demographics
     entry: EntryInfo
-    first_term: Term
+    first_term: Term = field(init=False)
     transcript: tuple[TranscriptEntry, ...] = ()
     degree_terms: tuple[Term, ...] = ()
 
@@ -161,17 +194,14 @@ class StudentRecord:
         object.__setattr__(self, "transcript", tuple(self.transcript))
         object.__setattr__(self, "degree_terms", tuple(self.degree_terms))
         if not self.transcript:
-            raise ValueError(f"student {self.student_id} has no transcript entries")
+            raise FieldError("student_id", f"student {self.student_id} has no transcript entries")
         for entry in self.transcript:
             if entry.student_id != self.student_id:
-                raise ValueError(
-                    f"transcript entry for {entry.student_id!r} attached to student {self.student_id!r}"
+                raise FieldError(
+                    "student_id",
+                    f"transcript entry for {entry.student_id!r} attached to student {self.student_id!r}",
                 )
-        derived = min(e.term for e in self.transcript)
-        if self.first_term != derived:
-            raise ValueError(
-                f"first_term {self.first_term} does not match earliest transcript term {derived}"
-            )
+        object.__setattr__(self, "first_term", min((e.term for e in self.transcript), key=term_index))
 
     def first_term_entries(self) -> tuple[TranscriptEntry, ...]:
         return tuple(e for e in self.transcript if e.term == self.first_term)
@@ -184,16 +214,11 @@ def make_student(
     transcript: list[TranscriptEntry] | tuple[TranscriptEntry, ...],
     degree_terms: list[Term] | tuple[Term, ...] = (),
 ) -> StudentRecord:
-    """Build a StudentRecord with canonical transcript order and derived first term."""
-    ordered = tuple(sorted(transcript, key=transcript_sort_key))
-    if not ordered:
-        raise ValueError(f"student {student_id} has no transcript entries")
-    first = min(e.term for e in ordered)
+    """Build a StudentRecord with its transcript and degree terms in canonical order."""
     return StudentRecord(
         student_id=student_id,
         demographics=demographics,
         entry=entry,
-        first_term=first,
-        transcript=ordered,
+        transcript=tuple(sorted(transcript, key=transcript_sort_key)),
         degree_terms=tuple(sorted(degree_terms)),
     )

@@ -123,14 +123,26 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SynthConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown synth config fields: {sorted(unknown)}")
-        if "entry_year_range" in raw:
-            raw = dict(raw)
-            raw["entry_year_range"] = tuple(raw["entry_year_range"])
-        return cls(**raw)
+        return cls(**config_kwargs(cls, raw, "synth config", ("entry_year_range",)))
+
+
+def config_kwargs(cls, raw, what: str, tuple_fields: tuple[str, ...]) -> dict:
+    """The JSON object `raw` as keyword arguments of the dataclass `cls`.
+
+    `what` names `raw` in errors; each of `tuple_fields` must be a list and becomes a tuple.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object, got {raw!r}")
+    unknown = set(raw) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    kwargs = dict(raw)
+    for name in tuple_fields:
+        if name in kwargs:
+            if not isinstance(kwargs[name], (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {kwargs[name]!r}")
+            kwargs[name] = tuple(kwargs[name])
+    return kwargs
 
 
 @dataclass(frozen=True)

@@ -83,3 +83,22 @@ def test_single_fold_stops_generate_before_any_work(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == "error: generate: cv_folds must be an integer >= 2, got 1\n"
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("raw,message", [
+    ([], r"config must be a JSON object, got \[\]"),
+    ({"synth": None}, "synth config must be a JSON object, got None"),
+    ({"gatekeeper_range": 5}, "gatekeeper_range must be a list, got 5"),
+    ({"synth": {"entry_year_range": 5}}, "entry_year_range must be a list, got 5"),
+])
+def test_config_of_the_wrong_json_shape_is_rejected(raw, message):
+    with pytest.raises(ValueError, match=message):
+        RunConfig.from_dict(raw)
+
+
+def test_wrong_json_shape_stops_the_stage_in_one_line(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"synth": null}', encoding="utf-8")
+    code = main(["generate", "--config", str(path), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: generate: synth config must be a JSON object, got None\n"

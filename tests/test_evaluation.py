@@ -300,9 +300,7 @@ def test_screen_ranks_informative_column_first():
     rows = screen_features(names, x[:300], y[:300], x[300:], y[300:])
     assert rows[0].feature == "informative"
     by_name = {r.feature: r for r in rows}
-    assert by_name["constant"].degenerate
     assert by_name["constant"].auc == pytest.approx(0.5, abs=1e-12)
-    assert not by_name["informative"].degenerate
     assert abs(by_name["noise"].auc - 0.5) < 0.12
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 from pathlib import Path
 
@@ -126,6 +127,15 @@ def test_malformed_row_names_file_line_and_column(tmp_path):
      "transcripts.csv:5: column 'credits': value -5.0 below minimum 0.0"),
     ("transcripts", 2, "S1,1998,autumn,ENGL,111,5.0,9.9,,0",
      "transcripts.csv:3: column 'grade': value 9.9 above maximum 4.0"),
+    ("students", 1, "S1,Asian,Female,0,Resident,1980,Freshman,1200,,15,MAJ001,1",
+     "students.csv:2: column 'transfer_credits': freshman entrants must have zero transfer credits"),
+    ("transcripts", 1, "S1,1998,autumn,MATH,-124,5.0,3.1,,0",
+     "transcripts.csv:2: column 'course_number': value -124 below minimum 0"),
+    ("transcripts", 3, "S1,1999,winter,,142,4.0,,P,0",
+     "transcripts.csv:4: column 'department': empty department code"),
+    ("transcripts", 3, "S1,1999,fall,CHEM,142,4.0,,P,0",
+     "transcripts.csv:4: column 'quarter': unknown category 'fall', "
+     "expected one of ['autumn', 'spring', 'summer', 'winter']"),
 ])
 def test_numeric_cell_errors_name_file_line_and_column(tmp_path, file, index, row, context):
     paths = dict(zip(("students", "transcripts"), two_student_files(tmp_path)))
@@ -135,6 +145,15 @@ def test_numeric_cell_errors_name_file_line_and_column(tmp_path, file, index, ro
     with pytest.raises(DataFormatError) as err:
         load_students(paths["students"], paths["transcripts"])
     assert str(err.value) == f"{tmp_path}/{context}"
+
+
+def test_student_without_transcript_rows_is_named_at_its_line(tmp_path):
+    students, transcripts = two_student_files(tmp_path)
+    lines = transcripts.read_text().splitlines()
+    write(transcripts, [lines[0]] + [line for line in lines[1:] if not line.startswith("S1,")])
+    with pytest.raises(DataFormatError) as err:
+        load_students(students, transcripts)
+    assert str(err.value) == f"{students}:2: column 'student_id': student S1 has no transcript entries"
 
 
 def test_zero_credit_enrollment_row_rejected(tmp_path):
@@ -183,6 +202,17 @@ def test_cohort_round_trip_via_write_cohort(tmp_path):
     paths = write_cohort(records, truths, tmp_path)
     loaded = load_students(paths["students"], paths["transcripts"], paths["degrees"])
     assert loaded == records
+
+
+def test_write_cohort_bytes(tmp_path):
+    paths = write_cohort(*generate_cohort(SynthConfig(n_students=30, seed=5)), tmp_path)
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+    assert digests == {
+        "students": "0678183f58cc09e04870ab458ba31bcd5e0daf1ddcc16cb4fec118b2bd5f9ff7",
+        "transcripts": "50209cb2e9fe75102418a803b038e9de82ee2777100d00da8dcda84243e80433",
+        "degrees": "ccfc0570d04d3277d3be8ba2cd597fc1aae385fe60d24838f7bfac1c139fc7a0",
+        "ground_truth": "b2de0f95831dc41bbebc3178a105717a531f28f404b83cc9a3a2e34ce60b9299",
+    }
 
 
 def test_write_csv_bytes(tmp_path):

@@ -109,7 +109,6 @@ def test_label_outcome_invariant_to_transcript_order(perm):
         student_id="S1",
         demographics=simple_student().demographics,
         entry=simple_student().entry,
-        first_term=Term(1998, "autumn"),
         transcript=shuffled,
         degree_terms=(Term(2002, "spring"),),
     )

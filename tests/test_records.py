@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from attrition.records import (
     QUARTERS,
+    Demographics,
+    FieldError,
     Term,
     TranscriptEntry,
     term_from_index,
@@ -56,6 +58,24 @@ def test_entry_requires_grade_or_mark():
 def test_grade_range_enforced():
     with pytest.raises(ValueError):
         entry("S1", 1998, "autumn", "MATH", grade=4.5)
+
+
+@pytest.mark.parametrize("field,changes", [
+    ("credits", {"credits": 0.0}),
+    ("course_number", {"number": -1}),
+    ("department", {"dept": ""}),
+])
+def test_entry_needs_positive_credits_course_number_and_department(field, changes):
+    args = {"dept": "MATH", "number": 124, "credits": 5.0, **changes}
+    with pytest.raises(FieldError) as err:
+        entry("S1", 1998, "autumn", **args)
+    assert err.value.field == field
+
+
+def test_unknown_residency_rejected():
+    with pytest.raises(FieldError) as err:
+        Demographics("Asian", "Female", False, "Martian", 1980)
+    assert err.value.field == "residency"
 
 
 def test_freshman_transfer_credits_must_be_zero():
