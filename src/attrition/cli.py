@@ -2,10 +2,11 @@
 
 Subcommands: generate, label, featurize, train, evaluate, screen, timing,
 pipeline. Each stage reads its inputs from files, writes its artifacts plus
-a manifest line (input hashes, seeds, version), and fails with a one-line
-error naming the prerequisite subcommand when an input is missing. The
-resolved configuration is always echoed to the output directory, and two
-runs with identical configuration produce byte-identical reports.
+a manifest line (the hashes of exactly the files it read, seeds, version),
+and fails with a one-line error naming the prerequisite subcommand when an
+input is missing. The resolved configuration is always echoed to the output
+directory, and two runs with identical configuration produce byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -60,12 +61,6 @@ class StageError(RuntimeError):
         super().__init__(message)
 
 
-def _require(stage: str, path: Path, prerequisite: str) -> Path:
-    if not path.exists():
-        raise StageError(stage, f"missing input {path}; run '{prerequisite}' first")
-    return path
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -74,37 +69,48 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _manifest_line(cfg: RunConfig, stage: str, inputs: list[Path], outputs: list[Path]) -> None:
-    line = {
-        "stage": stage,
-        "version": __version__,
-        "inputs": {p.name: _sha256(p) for p in inputs},
-        "outputs": [p.name for p in outputs],
-        "seeds": {
-            "split": cfg.split_seed,
-            "cv": cfg.cv_seed,
-            "sampling": cfg.sampling_seed,
-            "synth": cfg.synth.seed,
-        },
-    }
-    out = Path(cfg.out_dir) / "manifest.jsonl"
-    with open(out, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(line, sort_keys=True) + "\n")
+class _Run:
+    """One stage run: its name, its config, and the input files it reads, in reading order."""
+
+    def __init__(self, stage: str, cfg: RunConfig):
+        self.stage = stage
+        self.cfg = cfg
+        self.inputs: list[Path] = []
+
+    def require(self, path: Path, prerequisite: str) -> Path:
+        """`path`, recorded as an input; a missing file names the stage that writes it."""
+        if not path.exists():
+            raise StageError(self.stage, f"missing input {path}; run '{prerequisite}' first")
+        self.inputs.append(path)
+        return path
+
+    def manifest(self, outputs: list[Path]) -> None:
+        """Append the stage's manifest line: hashes of its inputs, its outputs, the seeds."""
+        cfg = self.cfg
+        line = {
+            "stage": self.stage,
+            "version": __version__,
+            "inputs": {p.name: _sha256(p) for p in self.inputs},
+            "outputs": [p.name for p in outputs],
+            "seeds": {
+                "split": cfg.split_seed,
+                "cv": cfg.cv_seed,
+                "sampling": cfg.sampling_seed,
+                "synth": cfg.synth.seed,
+            },
+        }
+        with open(Path(cfg.out_dir) / "manifest.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(line, sort_keys=True) + "\n")
 
 
-def _cohort_inputs(cfg: RunConfig) -> list[Path]:
-    return [p for p in cohort_paths(cfg.data_dir).values() if p.exists()]
+def _load_cohort(run: _Run):
+    paths = cohort_paths(run.cfg.data_dir)
+    keys = ("students", "transcripts", "degrees")
+    return load_students(*(run.require(paths[key], "generate") for key in keys))
 
 
-def _load_cohort(stage: str, cfg: RunConfig):
-    paths = cohort_paths(cfg.data_dir)
-    for key in ("students", "transcripts", "degrees"):
-        _require(stage, paths[key], "generate")
-    return load_students(paths["students"], paths["transcripts"], paths["degrees"])
-
-
-def _read_labels(stage: str, cfg: RunConfig) -> dict[str, OutcomeLabel]:
-    path = _require(stage, Path(cfg.out_dir) / "labels.csv", "label")
+def _read_labels(run: _Run) -> dict[str, OutcomeLabel]:
+    path = run.require(Path(run.cfg.out_dir) / "labels.csv", "label")
     return {
         row["student_id"]: OutcomeLabel(
             graduated=row["graduated"] == "1",
@@ -115,8 +121,8 @@ def _read_labels(stage: str, cfg: RunConfig) -> dict[str, OutcomeLabel]:
     }
 
 
-def _read_features(stage: str, cfg: RunConfig) -> tuple[list[str], np.ndarray]:
-    path = _require(stage, Path(cfg.out_dir) / "features.csv", "featurize")
+def _read_features(run: _Run) -> tuple[list[str], np.ndarray]:
+    path = run.require(Path(run.cfg.out_dir) / "features.csv", "featurize")
     ids: list[str] = []
     rows: list[list[float]] = []
     for row in read_csv(path):
@@ -125,21 +131,21 @@ def _read_features(stage: str, cfg: RunConfig) -> tuple[list[str], np.ndarray]:
     return ids, np.array(rows)
 
 
-def _read_split(stage: str, cfg: RunConfig) -> dict[str, str]:
-    path = _require(stage, Path(cfg.out_dir) / "split.csv", "featurize")
+def _read_split(run: _Run) -> dict[str, str]:
+    path = run.require(Path(run.cfg.out_dir) / "split.csv", "featurize")
     return {row["student_id"]: row["partition"] for row in read_csv(path)}
 
 
-def _read_schema_meta(stage: str, cfg: RunConfig) -> dict:
-    return read_json(_require(stage, Path(cfg.out_dir) / "schema.json", "featurize"))
+def _read_schema_meta(run: _Run) -> dict:
+    return read_json(run.require(Path(run.cfg.out_dir) / "schema.json", "featurize"))
 
 
-def _matrices(stage: str, cfg: RunConfig):
+def _matrices(run: _Run):
     """Shared loading path for train/evaluate/screen: raw + standardized matrices."""
-    ids, x_raw = _read_features(stage, cfg)
-    labels = _read_labels(stage, cfg)
-    parts = _read_split(stage, cfg)
-    meta = _read_schema_meta(stage, cfg)
+    ids, x_raw = _read_features(run)
+    labels = _read_labels(run)
+    parts = _read_split(run)
+    meta = _read_schema_meta(run)
     y = np.array([0.0 if labels[i].graduated else 1.0 for i in ids])
     part = np.array([parts[i] for i in ids])
     x_std = standardize(x_raw, meta["means"], meta["sds"], meta["standardized"])
@@ -155,12 +161,13 @@ def stage_generate(cfg: RunConfig) -> list[Path]:
     records, truths = generate_cohort(cfg.synth)
     paths = write_cohort(records, truths, cfg.data_dir)
     outputs = list(paths.values())
-    _manifest_line(cfg, "generate", [], outputs)
+    _Run("generate", cfg).manifest(outputs)
     return outputs
 
 
 def stage_label(cfg: RunConfig) -> list[Path]:
-    records = _load_cohort("label", cfg)
+    run = _Run("label", cfg)
+    records = _load_cohort(run)
     ds = label_all(records, cfg.degree_credits)
     out = Path(cfg.out_dir) / "labels.csv"
     write_csv(
@@ -169,13 +176,14 @@ def stage_label(cfg: RunConfig) -> list[Path]:
         ([s.student_id, int(lab.graduated), lab.quarters_enrolled, lab.window_allowance]
          for s, lab in ds.records),
     )
-    _manifest_line(cfg, "label", _cohort_inputs(cfg), [out])
+    run.manifest([out])
     return [out]
 
 
 def stage_featurize(cfg: RunConfig) -> list[Path]:
-    records = _load_cohort("featurize", cfg)
-    labels = _read_labels("featurize", cfg)
+    run = _Run("featurize", cfg)
+    records = _load_cohort(run)
+    labels = _read_labels(run)
     ds = LabeledDataset(tuple((r, labels[r.student_id]) for r in records))
     balanced = balance(ds, cfg.sampling_seed)
     train, test = split(balanced, cfg.test_fraction, cfg.split_seed)
@@ -201,14 +209,14 @@ def stage_featurize(cfg: RunConfig) -> list[Path]:
         ([sid, "train" if sid in train_ids else "test"] for sid in ids),
     )
 
-    inputs = _cohort_inputs(cfg) + [out_dir / "labels.csv"]
     outputs = [features_path, schema_path, split_path]
-    _manifest_line(cfg, "featurize", inputs, outputs)
+    run.manifest(outputs)
     return outputs
 
 
 def stage_train(cfg: RunConfig) -> list[Path]:
-    ids, x_raw, x_std, y, is_train, meta = _matrices("train", cfg)
+    run = _Run("train", cfg)
+    ids, x_raw, x_std, y, is_train, meta = _matrices(run)
     x_tr_std, x_tr_raw, y_tr = x_std[is_train], x_raw[is_train], y[is_train]
     schema_hash = meta["hash"]
     out_dir = Path(cfg.out_dir)
@@ -241,20 +249,19 @@ def stage_train(cfg: RunConfig) -> list[Path]:
         write_csv(path, ["value", "mean_score", "chosen"],
                   ([value, score, int(value == chosen)] for value, score in means.items()))
         outputs.append(path)
-    inputs = [out_dir / "features.csv", out_dir / "split.csv", out_dir / "labels.csv", out_dir / "schema.json"]
-    _manifest_line(cfg, "train", inputs, outputs)
+    run.manifest(outputs)
     return outputs
 
 
 def stage_evaluate(cfg: RunConfig) -> list[Path]:
-    ids, x_raw, x_std, y, is_train, meta = _matrices("evaluate", cfg)
+    run = _Run("evaluate", cfg)
+    ids, x_raw, x_std, y, is_train, meta = _matrices(run)
     out_dir = Path(cfg.out_dir)
     x_te_std, x_te_raw, y_te = x_std[~is_train], x_raw[~is_train], y[~is_train]
 
     models = {}
     for name, filename in MODEL_FILES.items():
-        path = _require("evaluate", out_dir / filename, "train")
-        models[name] = load_model(path)
+        models[name] = load_model(run.require(out_dir / filename, "train"))
 
     report_models: dict[str, ModelEval] = {}
     outputs = []
@@ -278,14 +285,13 @@ def stage_evaluate(cfg: RunConfig) -> list[Path]:
     report_path = out_dir / "report.json"
     write_json(report_path, asdict(report))
     outputs.insert(0, report_path)
-    inputs = [out_dir / MODEL_FILES[m] for m in MODEL_FILES]
-    inputs += [out_dir / "features.csv", out_dir / "split.csv", out_dir / "labels.csv"]
-    _manifest_line(cfg, "evaluate", inputs, outputs)
+    run.manifest(outputs)
     return outputs
 
 
 def stage_screen(cfg: RunConfig) -> list[Path]:
-    ids, x_raw, x_std, y, is_train, meta = _matrices("screen", cfg)
+    run = _Run("screen", cfg)
+    ids, x_raw, x_std, y, is_train, meta = _matrices(run)
     rows = screen_features(
         meta["feature_names"],
         x_std[is_train], y[is_train],
@@ -293,14 +299,14 @@ def stage_screen(cfg: RunConfig) -> list[Path]:
     )
     out = Path(cfg.out_dir) / "screen.csv"
     write_csv(out, ["Feature", "Accuracy", "AUC"], ([r.feature, r.accuracy, r.auc] for r in rows))
-    inputs = [Path(cfg.out_dir) / n for n in ("features.csv", "split.csv", "labels.csv", "schema.json")]
-    _manifest_line(cfg, "screen", inputs, [out])
+    run.manifest([out])
     return [out]
 
 
 def stage_timing(cfg: RunConfig) -> list[Path]:
-    records = _load_cohort("timing", cfg)
-    labels = _read_labels("timing", cfg)
+    run = _Run("timing", cfg)
+    records = _load_cohort(run)
+    labels = _read_labels(run)
     ncs = LabeledDataset(
         tuple((r, labels[r.student_id]) for r in records if not labels[r.student_id].graduated)
     )
@@ -311,8 +317,7 @@ def stage_timing(cfg: RunConfig) -> list[Path]:
     )
     out = Path(cfg.out_dir) / "timing.json"
     write_json(out, asdict(report))
-    inputs = _cohort_inputs(cfg) + [Path(cfg.out_dir) / "labels.csv"]
-    _manifest_line(cfg, "timing", inputs, [out])
+    run.manifest([out])
     return [out]
 
 

@@ -68,6 +68,7 @@ class RunConfig:
                 raise ValueError(f"{name} must not be empty")
             if not all(isinstance(v, (int, float)) and ok(v) for v in grid):
                 raise ValueError(f"{name} values must be {rule}, got {list(grid)}")
+        self.feature_config()  # FeatureConfig owns the feature fields' rules
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
@@ -76,7 +77,8 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         kwargs = config_kwargs(cls, raw, "config", ("gatekeeper_range", "lr_lambda_grid", "knn_k_grid",
-                                                    "forest_depth_grid", "timing_lambda_grid"))
+                                                    "forest_depth_grid", "timing_lambda_grid"),
+                               own_type_checks=("cv_folds", "test_fraction"))
         if "synth" in kwargs:
             kwargs["synth"] = SynthConfig.from_dict(kwargs["synth"])
         return cls(**kwargs)

@@ -5,18 +5,23 @@ dummies (top-150 vocabulary), a four-component tuple per department seen in
 training first terms (took / credits / classes / GPA), the same tuple for
 four entry-level STEM gatekeeper groups, and remedial/FIG indicators.
 
-Vocabularies, standardization statistics, imputation models, and department
-GPA fallbacks are all fit on training data only; encoding never mutates the
-schema. When a student has no graded class in a department, the GPA slot
-falls back to that department's training-set mean (zero would read as
-failing). Numeric columns are z-scored with training statistics; dummy
-columns are left as 0/1 so tree learners can consume the raw matrix.
+`FeatureSchema._layout` alone states the column layout: each block's
+descriptors sit next to the function computing its values. Department and
+gatekeeper tuples share one path, `department_tuple` over a course-number
+range. Vocabularies, standardization statistics, imputation models, and
+tuple GPA fallbacks are all fit on training data only; encoding never
+mutates the schema. A tuple without a graded class falls back to the tuple's
+GPA over all training first terms (zero would read as failing). Numeric
+columns are z-scored with training statistics; dummy columns are left as
+0/1 so tree learners can consume the raw matrix.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -31,6 +36,7 @@ from .records import (
     QUARTERS,
     RACES,
     RESIDENCIES,
+    SCORE_BOUNDS,
     StudentRecord,
     TranscriptEntry,
 )
@@ -42,7 +48,8 @@ DEFAULT_GATEKEEPER_DEPARTMENTS = {
     "biology": "BIOL",
 }
 
-TUPLE_COMPONENTS = ("took", "credits", "classes", "gpa")
+# The course-number range of a department tuple: every class of the department.
+ALL_COURSES = (0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -57,9 +64,11 @@ class FeatureConfig:
     def __post_init__(self) -> None:
         if self.imputation_mode not in ("regression", "mean"):
             raise ValueError(f"imputation_mode must be 'regression' or 'mean', got {self.imputation_mode!r}")
-        lo, hi = self.gatekeeper_range
-        if lo > hi:
-            raise ValueError(f"bad gatekeeper course-number range {self.gatekeeper_range}")
+        if not (type(self.major_vocab_size) is int and self.major_vocab_size >= 0):
+            raise ValueError(f"major_vocab_size must be an integer >= 0, got {self.major_vocab_size!r}")
+        lo_hi = self.gatekeeper_range
+        if not (len(lo_hi) == 2 and all(type(v) is int for v in lo_hi) and lo_hi[0] <= lo_hi[1]):
+            raise ValueError(f"gatekeeper_range must be two integers lo <= hi, got {list(lo_hi)}")
         object.__setattr__(self, "gatekeeper_departments", dict(self.gatekeeper_departments))
 
 
@@ -71,15 +80,45 @@ class FeatureDescriptor:
     standardize: bool
 
 
+def _block(kind: str, source: str, names: Sequence[str], values):
+    """Columns `names`, and `values(student, first_term_entries)`: one float per column."""
+    return tuple(FeatureDescriptor(n, kind, source, kind == "numeric") for n in names), values
+
+
+def _one_hot(prefix: str, categories: Sequence[str], source: str, value):
+    """One dummy column per category; `value(student)`, read once, picks the one that reads 1."""
+    return _block("dummy", source, [f"{prefix}={c}" for c in categories],
+                  lambda s, first: [1.0 if c == v else 0.0 for v in [value(s)] for c in categories])
+
+
+def _flag(name: str, source: str, value):
+    """One dummy column that reads 1 where `value(student, first_term_entries)` holds."""
+    return _block("dummy", source, [name], lambda s, first: [1.0 if value(s, first) else 0.0])
+
+
+def _tuple_block(kind: str, key: str, dept: str, course_range: tuple[float, float], fallback: float):
+    """The took/credits/classes/gpa columns of one tuple; a missing GPA reads `fallback`."""
+    def values(s, first):
+        took, credits, classes, gpa = department_tuple(first, dept, course_range)
+        return [float(took), credits, float(classes), fallback if gpa is None else gpa]
+
+    columns = tuple(
+        FeatureDescriptor(f"{kind}={key}:{c}", "department", "transcript", c != "took")
+        for c in ("took", "credits", "classes", "gpa")
+    )
+    return columns, values
+
+
 def department_tuple(
-    entries: Sequence[TranscriptEntry], dept: str
+    entries: Sequence[TranscriptEntry], dept: str, course_range: tuple[float, float] = ALL_COURSES
 ) -> tuple[int, float, int, float | None]:
-    """(took, credits, classes, gpa) for one department over first-term entries.
+    """(took, credits, classes, gpa) over the entries of `dept` numbered within `course_range`.
 
     Credits and class counts include pass/fail entries; the GPA is
-    :func:`credit_weighted_gpa` of the department's entries.
+    :func:`credit_weighted_gpa` of the selected entries.
     """
-    mine = [e for e in entries if e.department == dept]
+    lo, hi = course_range
+    mine = [e for e in entries if e.department == dept and lo <= e.course_number <= hi]
     credits = 0.0
     for e in mine:
         credits += e.credits
@@ -97,15 +136,27 @@ def credit_weighted_gpa(entries: Sequence[TranscriptEntry]) -> float | None:
     return points / credits if credits > 0 else None
 
 
-def _demographic_onehots(s: StudentRecord) -> list[float]:
-    """Race, gender, residency and previous-schooling one-hots, then the hispanic flag."""
-    d = s.demographics
-    row = [1.0 if d.race == r else 0.0 for r in RACES]
-    row += [1.0 if d.gender == g else 0.0 for g in GENDERS]
-    row += [1.0 if d.residency == r else 0.0 for r in RESIDENCIES]
-    row += [1.0 if s.entry.previous_schooling == p else 0.0 for p in PREVIOUS_SCHOOLING]
-    row.append(1.0 if d.hispanic else 0.0)
-    return row
+def _tuple_groups(config: FeatureConfig, department_vocab: Sequence[str]):
+    """(kind "dept" | "gatekeeper", department or group name, department, course range) in column order."""
+    groups = [("dept", d, d, ALL_COURSES) for d in department_vocab]
+    gates = config.gatekeeper_departments
+    return groups + [("gatekeeper", g, gates[g], config.gatekeeper_range) for g in sorted(gates)]
+
+
+# Demographic and schooling one-hots: the first columns, and the imputer's regressors.
+_DEMOGRAPHIC_BLOCKS = (
+    _one_hot("race", RACES, "demographics", lambda s: s.demographics.race),
+    _one_hot("gender", GENDERS, "demographics", lambda s: s.demographics.gender),
+    _one_hot("residency", RESIDENCIES, "demographics", lambda s: s.demographics.residency),
+    _one_hot("prev_schooling", PREVIOUS_SCHOOLING, "entry", lambda s: s.entry.previous_schooling),
+    _flag("hispanic", "demographics", lambda s, first: s.demographics.hispanic),
+)
+
+
+def _base_row(s: StudentRecord) -> list[float]:
+    """The imputer's regressors: intercept, demographic one-hots, birth year."""
+    onehots = [v for _, values in _DEMOGRAPHIC_BLOCKS for v in values(s, ())]
+    return [1.0] + onehots + [float(s.demographics.birth_year - 1980)]
 
 
 def standardize(
@@ -120,11 +171,14 @@ def standardize(
     return out
 
 
-def gatekeeper_entries(
-    entries: Sequence[TranscriptEntry], dept: str, course_range: tuple[int, int]
-) -> list[TranscriptEntry]:
-    lo, hi = course_range
-    return [e for e in entries if e.department == dept and lo <= e.course_number <= hi]
+def _lstsq(students: Sequence[StudentRecord], score: str, extra: tuple[str, ...]) -> np.ndarray | None:
+    """Least squares of `score` on the base row plus `extra`, over students observing all; None below 2."""
+    rows = [s for s in students if all(getattr(s.entry, f) is not None for f in (score, *extra))]
+    if len(rows) < 2:
+        return None
+    a = np.array([_base_row(s) + [float(getattr(s.entry, e)) for e in extra] for s in rows])
+    b = np.array([float(getattr(s.entry, score)) for s in rows])
+    return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
 class Imputer:
@@ -134,88 +188,51 @@ class Imputer:
     and entry dummies plus birth year, with a second-stage model that also
     uses the other score for rows where it is observed. Fit on training rows
     only. Mean mode, and a score observed on fewer than 2 training rows,
-    fall back to training means.
+    fall back to training means. Imputed scores are clamped to
+    `records.SCORE_BOUNDS`.
     """
 
-    SAT_RANGE = (400.0, 1600.0)
-    ACT_RANGE = (1.0, 36.0)
-
-    def __init__(self, mode: str):
-        if mode not in ("regression", "mean"):
-            raise ValueError(f"unknown imputation mode {mode!r}")
+    def __init__(self, mode: str, students: Sequence[StudentRecord]):
+        FeatureConfig(imputation_mode=mode)  # raises on an unknown mode; FeatureConfig owns the rule
         self.mode = mode
-        self.sat_mean = 0.0
-        self.act_mean = 0.0
-        self._weights: dict[str, np.ndarray | None] = {
-            "sat_base": None,
-            "sat_cross": None,
-            "act_base": None,
-            "act_cross": None,
-        }
+        # score field -> (the other score, training mean, base weights, weights that also use the other)
+        self._fits: dict[str, tuple[str, float, np.ndarray | None, np.ndarray | None]] = {}
+        for score, other in zip(SCORE_BOUNDS, reversed(SCORE_BOUNDS)):
+            observed = [s for s in students if getattr(s.entry, score) is not None]
+            if not observed:
+                raise ValueError(f"cannot fit imputer: no observed {score[:3].upper()} scores in training data")
+            mean = float(np.mean([getattr(s.entry, score) for s in observed]))
+            if mode == "mean":
+                self._fits[score] = (other, mean, None, None)
+            else:
+                self._fits[score] = (other, mean, _lstsq(observed, score, ()), _lstsq(observed, score, (other,)))
 
-    def _base_row(self, s: StudentRecord) -> list[float]:
-        return [1.0] + _demographic_onehots(s) + [float(s.demographics.birth_year - 1980)]
-
-    def fit(self, students: Sequence[StudentRecord]) -> "Imputer":
-        sat_rows = [s for s in students if s.entry.sat_score is not None]
-        act_rows = [s for s in students if s.entry.act_score is not None]
-        if not sat_rows:
-            raise ValueError("cannot fit imputer: no observed SAT scores in training data")
-        if not act_rows:
-            raise ValueError("cannot fit imputer: no observed ACT scores in training data")
-        self.sat_mean = float(np.mean([s.entry.sat_score for s in sat_rows]))
-        self.act_mean = float(np.mean([s.entry.act_score for s in act_rows]))
-        if self.mode == "mean":
-            return self
-
-        def lstsq(rows, target, extra):
-            a = np.array([self._base_row(s) + ([float(extra(s))] if extra else []) for s in rows])
-            b = np.array([float(target(s)) for s in rows])
-            w, *_ = np.linalg.lstsq(a, b, rcond=None)
-            return w
-
-        if len(sat_rows) >= 2:
-            self._weights["sat_base"] = lstsq(sat_rows, lambda s: s.entry.sat_score, None)
-        if len(act_rows) >= 2:
-            self._weights["act_base"] = lstsq(act_rows, lambda s: s.entry.act_score, None)
-        sat_with_act = [s for s in sat_rows if s.entry.act_score is not None]
-        act_with_sat = [s for s in act_rows if s.entry.sat_score is not None]
-        if len(sat_with_act) >= 2:
-            self._weights["sat_cross"] = lstsq(sat_with_act, lambda s: s.entry.sat_score, lambda s: s.entry.act_score)
-        if len(act_with_sat) >= 2:
-            self._weights["act_cross"] = lstsq(act_with_sat, lambda s: s.entry.act_score, lambda s: s.entry.sat_score)
-        return self
-
-    def _predict(self, s: StudentRecord, which: str) -> float:
-        other = s.entry.act_score if which == "sat" else s.entry.sat_score
-        mean = self.sat_mean if which == "sat" else self.act_mean
-        lo, hi = self.SAT_RANGE if which == "sat" else self.ACT_RANGE
-        if self.mode == "mean":
-            return min(hi, max(lo, mean))
-        cross = self._weights[f"{which}_cross"]
-        base = self._weights[f"{which}_base"]
+    def impute(self, s: StudentRecord, score: str) -> float:
+        """The student's `score` (an `EntryInfo` field): observed, else predicted and clamped."""
+        value = getattr(s.entry, score)
+        if value is not None:
+            return float(value)
+        other_score, mean, base, cross = self._fits[score]
+        other = getattr(s.entry, other_score)
         if other is not None and cross is not None:
-            row = np.array(self._base_row(s) + [float(other)])
-            value = float(row @ cross)
+            value = float(np.array(_base_row(s) + [float(other)]) @ cross)
         elif base is not None:
-            value = float(np.array(self._base_row(s)) @ base)
+            value = float(np.array(_base_row(s)) @ base)
         else:
             value = mean
-        return min(hi, max(lo, value))
-
-    def sat(self, s: StudentRecord) -> float:
-        return float(s.entry.sat_score) if s.entry.sat_score is not None else self._predict(s, "sat")
-
-    def act(self, s: StudentRecord) -> float:
-        return float(s.entry.act_score) if s.entry.act_score is not None else self._predict(s, "act")
+        lo, hi = SCORE_BOUNDS[score]
+        return float(min(hi, max(lo, value)))
 
 
 def fit_imputer(train: LabeledDataset, mode: str) -> Imputer:
-    return Imputer(mode).fit([s for s, _ in train.records])
+    return Imputer(mode, [s for s, _ in train.records])
 
 
 class FeatureSchema:
-    """Ordered feature descriptors plus everything needed to encode a student."""
+    """Ordered feature descriptors plus everything needed to encode a student.
+
+    `gpa_means[kind][key]` is the GPA fallback of each tuple (see `_tuple_groups`).
+    """
 
     def __init__(
         self,
@@ -223,60 +240,37 @@ class FeatureSchema:
         major_vocab: tuple[str, ...],
         department_vocab: tuple[str, ...],
         imputer: Imputer,
-        dept_gpa_means: dict[str, float],
-        gatekeeper_gpa_means: dict[str, float],
+        gpa_means: dict[str, dict[str, float]],
         global_gpa_mean: float,
     ):
         self.config = config
         self.major_vocab = major_vocab
         self.department_vocab = department_vocab
         self.imputer = imputer
-        self.dept_gpa_means = dept_gpa_means
-        self.gatekeeper_gpa_means = gatekeeper_gpa_means
+        self.gpa_means = gpa_means
         self.global_gpa_mean = global_gpa_mean
-        self.descriptors = self._build_descriptors()
+        self.blocks = self._layout()
+        self.descriptors = tuple(d for columns, _ in self.blocks for d in columns)
         self.means = np.zeros(len(self.descriptors))
         self.sds = np.ones(len(self.descriptors))
 
-    def _build_descriptors(self) -> tuple[FeatureDescriptor, ...]:
-        desc: list[FeatureDescriptor] = []
-
-        def dummy(name, source):
-            desc.append(FeatureDescriptor(name, "dummy", source, False))
-
-        def numeric(name, source):
-            desc.append(FeatureDescriptor(name, "numeric", source, True))
-
-        for r in RACES:
-            dummy(f"race={r}", "demographics")
-        for g in GENDERS:
-            dummy(f"gender={g}", "demographics")
-        for r in RESIDENCIES:
-            dummy(f"residency={r}", "demographics")
-        for p in PREVIOUS_SCHOOLING:
-            dummy(f"prev_schooling={p}", "entry")
-        dummy("hispanic", "demographics")
-        numeric("birth_year", "demographics")
-        numeric("entry_year", "transcript")
-        for q in QUARTERS:
-            dummy(f"first_quarter={q}", "transcript")
-        numeric("sat_score", "entry")
-        numeric("act_score", "entry")
-        for m in self.major_vocab:
-            dummy(f"major={m}", "entry")
-        for d in self.department_vocab:
-            desc.append(FeatureDescriptor(f"dept={d}:took", "department", "transcript", False))
-            desc.append(FeatureDescriptor(f"dept={d}:credits", "department", "transcript", True))
-            desc.append(FeatureDescriptor(f"dept={d}:classes", "department", "transcript", True))
-            desc.append(FeatureDescriptor(f"dept={d}:gpa", "department", "transcript", True))
-        for group in sorted(self.config.gatekeeper_departments):
-            desc.append(FeatureDescriptor(f"gatekeeper={group}:took", "department", "transcript", False))
-            desc.append(FeatureDescriptor(f"gatekeeper={group}:credits", "department", "transcript", True))
-            desc.append(FeatureDescriptor(f"gatekeeper={group}:classes", "department", "transcript", True))
-            desc.append(FeatureDescriptor(f"gatekeeper={group}:gpa", "department", "transcript", True))
-        dummy("remedial", "transcript")
-        dummy("fig_member", "entry")
-        return tuple(desc)
+    def _layout(self) -> list:
+        """The column layout: (descriptors, values) blocks in column order (see `_block`)."""
+        imputer, majors = self.imputer, self.major_vocab
+        return [
+            *_DEMOGRAPHIC_BLOCKS,
+            _block("numeric", "demographics", ["birth_year"], lambda s, first: [float(s.demographics.birth_year)]),
+            _block("numeric", "transcript", ["entry_year"], lambda s, first: [float(s.first_term.year)]),
+            _one_hot("first_quarter", QUARTERS, "transcript", lambda s: s.first_term.quarter),
+            _block("numeric", "entry", list(SCORE_BOUNDS),
+                   lambda s, first: [imputer.impute(s, score) for score in SCORE_BOUNDS]),
+            _block("dummy", "entry", [f"major={m}" for m in majors],
+                   lambda s, first: [1.0 if m in s.entry.first_term_majors else 0.0 for m in majors]),
+            *(_tuple_block(kind, key, dept, course_range, self.gpa_means[kind][key])
+              for kind, key, dept, course_range in _tuple_groups(self.config, self.department_vocab)),
+            _flag("remedial", "transcript", lambda s, first: any(e.remedial for e in first)),
+            _flag("fig_member", "entry", lambda s, first: s.entry.fig_member),
+        ]
 
     @property
     def feature_names(self) -> list[str]:
@@ -292,6 +286,12 @@ class FeatureSchema:
         """Z-score numeric columns with training stats; dummies pass through."""
         return standardize(x, self.means, self.sds, [d.standardize for d in self.descriptors])
 
+    def _gpa_means_as(self, convert) -> dict[str, dict[str, object]]:
+        return {
+            f"{kind}_gpa_means": {k: convert(v) for k, v in sorted(means.items())}
+            for kind, means in self.gpa_means.items()
+        }
+
     def content_hash(self) -> str:
         payload = {
             "features": [(d.name, d.kind, d.source, d.standardize) for d in self.descriptors],
@@ -299,8 +299,7 @@ class FeatureSchema:
             "departments": list(self.department_vocab),
             "means": [repr(v) for v in self.means],
             "sds": [repr(v) for v in self.sds],
-            "dept_gpa_means": {k: repr(v) for k, v in sorted(self.dept_gpa_means.items())},
-            "gatekeeper_gpa_means": {k: repr(v) for k, v in sorted(self.gatekeeper_gpa_means.items())},
+            **self._gpa_means_as(repr),
         }
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
@@ -314,8 +313,7 @@ class FeatureSchema:
             "department_vocab": list(self.department_vocab),
             "means": [float(v) for v in self.means],
             "sds": [float(v) for v in self.sds],
-            "dept_gpa_means": {k: float(v) for k, v in sorted(self.dept_gpa_means.items())},
-            "gatekeeper_gpa_means": {k: float(v) for k, v in sorted(self.gatekeeper_gpa_means.items())},
+            **self._gpa_means_as(float),
             "global_gpa_mean": float(self.global_gpa_mean),
             "imputation_mode": self.imputer.mode,
             "hash": self.content_hash(),
@@ -329,37 +327,25 @@ def fit_schema(train: LabeledDataset, config: FeatureConfig | None = None) -> Fe
     if len(train.records) == 0:
         raise ValueError("cannot fit a feature schema on an empty training set")
 
-    major_counts: dict[str, int] = {}
-    dept_entries: dict[str, list[TranscriptEntry]] = {}
-    gate_entries: dict[str, list[TranscriptEntry]] = {g: [] for g in cfg.gatekeeper_departments}
-    all_first: list[TranscriptEntry] = []
-    for student, _ in train.records:
-        for m in student.entry.first_term_majors:
-            major_counts[m] = major_counts.get(m, 0) + 1
-        first = student.first_term_entries()
-        all_first.extend(first)
-        for e in first:
-            dept_entries.setdefault(e.department, []).append(e)
-        for group, dept in cfg.gatekeeper_departments.items():
-            gate_entries[group].extend(gatekeeper_entries(first, dept, cfg.gatekeeper_range))
+    major_counts = Counter(m for s, _ in train.records for m in s.entry.first_term_majors)
+    all_first = [e for s, _ in train.records for e in s.first_term_entries()]
+    by_dept: dict[str, list[TranscriptEntry]] = {}
+    for e in all_first:
+        by_dept.setdefault(e.department, []).append(e)
 
     ranked = sorted(major_counts, key=lambda m: (-major_counts[m], m))
     major_vocab = tuple(ranked[: cfg.major_vocab_size])
-    department_vocab = tuple(sorted(dept_entries))
+    department_vocab = tuple(sorted(by_dept))
 
-    global_gpa = credit_weighted_gpa(all_first)
-    global_gpa = 0.0 if global_gpa is None else global_gpa
-
-    def pooled(entries: list[TranscriptEntry]) -> float:
-        gpa = credit_weighted_gpa(entries)
-        return global_gpa if gpa is None else gpa
-
-    dept_gpa_means = {d: pooled(entries) for d, entries in dept_entries.items()}
-    gatekeeper_gpa_means = {g: pooled(entries) for g, entries in gate_entries.items()}
+    global_gpa = credit_weighted_gpa(all_first) or 0.0
+    # each tuple's fallback is its own GPA over the pooled training first terms
+    gpa_means: dict[str, dict[str, float]] = {"dept": {}, "gatekeeper": {}}
+    for kind, key, dept, course_range in _tuple_groups(cfg, department_vocab):
+        gpa = department_tuple(by_dept.get(dept, ()), dept, course_range)[3]
+        gpa_means[kind][key] = global_gpa if gpa is None else gpa
 
     schema = FeatureSchema(
-        cfg, major_vocab, department_vocab, fit_imputer(train, cfg.imputation_mode),
-        dept_gpa_means, gatekeeper_gpa_means, global_gpa,
+        cfg, major_vocab, department_vocab, fit_imputer(train, cfg.imputation_mode), gpa_means, global_gpa
     )
     raw = np.array([encode(s, schema) for s, _ in train.records])
     schema.means = raw.mean(axis=0)
@@ -369,34 +355,8 @@ def fit_schema(train: LabeledDataset, config: FeatureConfig | None = None) -> Fe
 
 def encode(student: StudentRecord, schema: FeatureSchema) -> np.ndarray:
     """Raw (unstandardized) feature row of one student; pure given its inputs."""
-    cfg = schema.config
     first = student.first_term_entries()
-
-    values = _demographic_onehots(student)
-    values.append(float(student.demographics.birth_year))
-    values.append(float(student.first_term.year))
-    values += [1.0 if student.first_term.quarter == q else 0.0 for q in QUARTERS]
-    values.append(schema.imputer.sat(student))
-    values.append(schema.imputer.act(student))
-    declared = set(student.entry.first_term_majors)
-    values += [1.0 if m in declared else 0.0 for m in schema.major_vocab]
-    for dept in schema.department_vocab:
-        took, credits, classes, gpa = department_tuple(first, dept)
-        if gpa is None:
-            gpa = schema.dept_gpa_means.get(dept, schema.global_gpa_mean)
-        values += [float(took), credits, float(classes), gpa]
-    for group in sorted(cfg.gatekeeper_departments):
-        dept = cfg.gatekeeper_departments[group]
-        took, credits, classes, gpa = department_tuple(
-            gatekeeper_entries(first, dept, cfg.gatekeeper_range), dept
-        )
-        if gpa is None:
-            gpa = schema.gatekeeper_gpa_means.get(group, schema.global_gpa_mean)
-        values += [float(took), credits, float(classes), gpa]
-    values.append(1.0 if any(e.remedial for e in first) else 0.0)
-    values.append(1.0 if student.entry.fig_member else 0.0)
-
-    return np.array(values, dtype=float)
+    return np.array([v for _, values in schema.blocks for v in values(student, first)], dtype=float)
 
 
 def encode_dataset(

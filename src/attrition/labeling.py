@@ -49,9 +49,8 @@ class LabeledDataset:
 
 
 def enrollment_terms(student: StudentRecord) -> list[Term]:
-    """Distinct terms with at least one transcript grade or mark, ascending."""
-    seen = {e.term for e in student.transcript if e.grade is not None or e.mark is not None}
-    return sorted(seen)
+    """Distinct transcript terms, ascending: every entry bears a grade or mark, so each counts."""
+    return sorted({e.term for e in student.transcript})
 
 
 def window_allowance(transfer_credits: float, degree_credits: float = DEFAULT_DEGREE_CREDITS) -> int:

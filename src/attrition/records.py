@@ -41,6 +41,9 @@ RESIDENCIES = (
 
 MIN_YEAR = 1900
 
+# Inclusive bounds of each entry test score, keyed by its field (and CSV column) name.
+SCORE_BOUNDS = {"sat_score": (400, 1600), "act_score": (1, 36)}
+
 
 class FieldError(ValueError):
     """A value that breaks a rule of the record field (and CSV column) `field`."""
@@ -127,10 +130,9 @@ class EntryInfo:
 
     def __post_init__(self) -> None:
         _check_category("previous_schooling", self.previous_schooling, PREVIOUS_SCHOOLING)
-        if self.sat_score is not None:
-            _check_bounds("sat_score", self.sat_score, 400, 1600)
-        if self.act_score is not None:
-            _check_bounds("act_score", self.act_score, 1, 36)
+        for name, (lo, hi) in SCORE_BOUNDS.items():
+            if getattr(self, name) is not None:
+                _check_bounds(name, getattr(self, name), lo, hi)
         _check_bounds("transfer_credits", self.transfer_credits, 0.0)
         if self.previous_schooling == "Freshman" and self.transfer_credits != 0:
             raise FieldError("transfer_credits", "freshman entrants must have zero transfer credits")

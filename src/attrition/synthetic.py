@@ -12,8 +12,8 @@ where every signal value lies in [0, 1]. Supported signal keys:
 * ``gpa:<DEPT>``   first-term credit-weighted GPA in that department / 4.0
                    (a fixed neutral 0.7 when the student has no graded class
                    in the department)
-* ``sat``          (true SAT - 400) / 1200
-* ``act``          (true ACT - 1) / 35
+* ``sat`` / ``act``  true score rescaled from its ``records.SCORE_BOUNDS``
+                   to [0, 1]
 * ``transfer2yr`` / ``transfer4yr``  previous-schooling indicators
 * ``remedial``     indicator for a remedial first-term class
 
@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import credit_weighted_gpa
+from .features import department_tuple
 from .io import read_csv, write_csv, write_degrees, write_students, write_transcripts
 from .labeling import window_allowance
 from .records import (
@@ -45,6 +45,7 @@ from .records import (
     QUARTERS,
     RACES,
     RESIDENCIES,
+    SCORE_BOUNDS,
     Demographics,
     EntryInfo,
     StudentRecord,
@@ -126,10 +127,18 @@ class SynthConfig:
         return cls(**config_kwargs(cls, raw, "synth config", ("entry_year_range",)))
 
 
-def config_kwargs(cls, raw, what: str, tuple_fields: tuple[str, ...]) -> dict:
+# JSON types a scalar field accepts, by the type of its default, and their name in errors.
+_SCALAR_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def config_kwargs(
+    cls, raw, what: str, tuple_fields: tuple[str, ...], own_type_checks: tuple[str, ...] = ()
+) -> dict:
     """The JSON object `raw` as keyword arguments of the dataclass `cls`.
 
     `what` names `raw` in errors; each of `tuple_fields` must be a list and becomes a tuple.
+    A value whose JSON type does not match its field's scalar default is rejected (a bool is
+    not a number), except in `own_type_checks`, whose type `cls` checks with its range.
     """
     if not isinstance(raw, dict):
         raise ValueError(f"{what} must be a JSON object, got {raw!r}")
@@ -137,6 +146,11 @@ def config_kwargs(cls, raw, what: str, tuple_fields: tuple[str, ...]) -> dict:
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
     kwargs = dict(raw)
+    for f in fields(cls):
+        if f.name in kwargs and f.name not in own_type_checks and type(f.default) in _SCALAR_TYPES:
+            accepted, noun = _SCALAR_TYPES[type(f.default)]
+            if type(kwargs[f.name]) not in accepted:
+                raise ValueError(f"{f.name} must be {noun}, got {kwargs[f.name]!r}")
     for name in tuple_fields:
         if name in kwargs:
             if not isinstance(kwargs[name], (list, tuple)):
@@ -292,6 +306,7 @@ def generate_cohort(cfg: SynthConfig) -> tuple[list[StudentRecord], list[GroundT
     dept_index = {d: i for i, d in enumerate(departments)}
     major_p = np.array([1.0 / (i + 1.0) for i in range(cfg.n_majors)])
     major_p /= major_p.sum()
+    (sat_lo, sat_hi), (act_lo, act_hi) = SCORE_BOUNDS["sat_score"], SCORE_BOUNDS["act_score"]
 
     records: list[StudentRecord] = []
     truths: list[GroundTruth] = []
@@ -316,8 +331,9 @@ def generate_cohort(cfg: SynthConfig) -> tuple[list[StudentRecord], list[GroundT
         else:
             transfer_credits = round(float(rng.uniform(30.0, 135.0)), 1)
 
-        sat_true = int(min(1600, max(400, round((1050 + 150 * ability + rng.normal(0, 60)) / 10) * 10)))
-        act_true = int(min(36, max(1, round(21 + 5 * ability + rng.normal(0, 2)))))
+        sat_raw = round((1050 + 150 * ability + rng.normal(0, 60)) / 10) * 10
+        sat_true = int(min(sat_hi, max(sat_lo, sat_raw)))
+        act_true = int(min(act_hi, max(act_lo, round(21 + 5 * ability + rng.normal(0, 2)))))
         sat_observed = rng.random() < cfg.sat_observed_rate
         act_observed = rng.random() < cfg.act_observed_rate
 
@@ -339,12 +355,12 @@ def generate_cohort(cfg: SynthConfig) -> tuple[list[StudentRecord], list[GroundT
             kind = signal_kinds[key]
             if kind == "gpa":
                 dept = key.split(":", 1)[1]
-                gpa = credit_weighted_gpa([e for e in first_entries if e.department == dept])
+                gpa = department_tuple(first_entries, dept)[3]
                 value = _NEUTRAL_GPA_SIGNAL if gpa is None else gpa / 4.0
             elif kind == "sat":
-                value = (sat_true - 400) / 1200.0
+                value = (sat_true - sat_lo) / (sat_hi - sat_lo)
             elif kind == "act":
-                value = (act_true - 1) / 35.0
+                value = (act_true - act_lo) / (act_hi - act_lo)
             elif kind == "transfer2yr":
                 value = 1.0 if prev == "Transfer2Yr" else 0.0
             elif kind == "transfer4yr":

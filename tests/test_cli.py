@@ -137,6 +137,23 @@ def test_manifest_lines_cover_stages(pipeline_run):
     assert stages == ["generate", "label", "featurize", "train", "evaluate", "screen", "timing"]
 
 
+def test_manifest_inputs_are_the_files_each_stage_reads(pipeline_run):
+    out, _ = pipeline_run
+    lines = [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()]
+    cohort = ["degrees.csv", "students.csv", "transcripts.csv"]
+    matrices = ["features.csv", "labels.csv", "schema.json", "split.csv"]
+    models = ["model_knn.json", "model_logistic_regression.json", "model_random_forest.json"]
+    assert {line["stage"]: sorted(line["inputs"]) for line in lines} == {
+        "generate": [],
+        "label": cohort,
+        "featurize": sorted(cohort + ["labels.csv"]),
+        "train": matrices,
+        "evaluate": sorted(matrices + models),
+        "screen": matrices,
+        "timing": sorted(cohort + ["labels.csv"]),
+    }
+
+
 def test_evaluate_before_train_names_prerequisite(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "out"

@@ -102,3 +102,46 @@ def test_wrong_json_shape_stops_the_stage_in_one_line(tmp_path, capsys):
     code = main(["generate", "--config", str(path), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")])
     assert code == 1
     assert capsys.readouterr().err == "error: generate: synth config must be a JSON object, got None\n"
+
+
+@pytest.mark.parametrize("raw,message", [
+    ({"gatekeeper_range": [100]}, r"gatekeeper_range must be two integers lo <= hi, got \[100\]"),
+    ({"gatekeeper_range": [150, 100]}, r"gatekeeper_range must be two integers lo <= hi, got \[150, 100\]"),
+    ({"gatekeeper_range": [100, 199.5]}, r"gatekeeper_range must be two integers lo <= hi, got \[100, 199.5\]"),
+    ({"imputation_mode": "median"}, "imputation_mode must be 'regression' or 'mean', got 'median'"),
+    ({"major_vocab_size": -1}, "major_vocab_size must be an integer >= 0, got -1"),
+])
+def test_bad_feature_field_is_rejected(raw, message):
+    with pytest.raises(ValueError, match=message):
+        RunConfig.from_dict(raw)
+
+
+def test_feature_fields_at_their_limits_are_accepted():
+    cfg = RunConfig.from_dict({"gatekeeper_range": [150, 150], "major_vocab_size": 0, "imputation_mode": "mean"})
+    assert cfg.feature_config().gatekeeper_range == (150, 150)
+
+
+@pytest.mark.parametrize("raw,message", [
+    ({"gatekeeper_range": [100]}, "gatekeeper_range must be two integers lo <= hi, got [100]"),
+    ({"imputation_mode": "median"}, "imputation_mode must be 'regression' or 'mean', got 'median'"),
+    ({"synth": {"n_students": "5"}}, "n_students must be an integer, got '5'"),
+    ({"synth": {"seed": True}}, "seed must be an integer, got True"),
+    ({"synth": {"n_majors": 12.0}}, "n_majors must be an integer, got 12.0"),
+    ({"synth": {"grade_noise_sd": "0.5"}}, "grade_noise_sd must be a number, got '0.5'"),
+    ({"forest_n_trees": "5"}, "forest_n_trees must be an integer, got '5'"),
+    ({"degree_credits": False}, "degree_credits must be a number, got False"),
+    ({"data_dir": 5}, "data_dir must be a string, got 5"),
+])
+@pytest.mark.parametrize("stage", ["generate", "train"])
+def test_bad_config_value_stops_every_stage_in_one_line(tmp_path, capsys, raw, message, stage):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code = main([stage, "--config", str(path), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {stage}: {message}\n"
+    assert not (tmp_path / "data").exists()
+
+
+def test_float_field_accepts_an_integer():
+    cfg = RunConfig.from_dict({"degree_credits": 120, "synth": {"degree_credits": 120, "grade_noise_sd": 1}})
+    assert cfg.synth.grade_noise_sd == 1

@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from attrition.cli import main
 from attrition.features import (
     FeatureConfig,
     department_tuple,
@@ -8,7 +12,6 @@ from attrition.features import (
     encode_dataset,
     fit_imputer,
     fit_schema,
-    gatekeeper_entries,
 )
 from attrition.labeling import LabeledDataset, OutcomeLabel, label_all
 
@@ -95,7 +98,7 @@ def test_constant_sat_imputes_constant():
     ]
     imp = fit_imputer(as_dataset(records), "regression")
     target = simple_student(sid="T", sat=None, act=25)
-    assert imp.sat(target) == pytest.approx(1200, abs=1e-6)
+    assert imp.impute(target, "sat_score") == pytest.approx(1200, abs=1e-6)
 
 
 def test_mean_mode_imputes_mean():
@@ -104,7 +107,7 @@ def test_mean_mode_imputes_mean():
         simple_student(sid="S2", sat=1100, act=30, entries=[entry("S2", 1998, "autumn", "MATH")]),
     ]
     imp = fit_imputer(as_dataset(records), "mean")
-    assert imp.act(simple_student(sid="T")) == pytest.approx(25.0)
+    assert imp.impute(simple_student(sid="T"), "act_score") == pytest.approx(25.0)
 
 
 def test_imputer_requires_observed_scores():
@@ -114,6 +117,12 @@ def test_imputer_requires_observed_scores():
             fit_imputer(as_dataset(records), mode)
 
 
+def test_imputer_rejects_an_unknown_mode():
+    records = [simple_student(sid="S1", sat=1000, act=20, entries=[entry("S1", 1998, "autumn", "MATH")])]
+    with pytest.raises(ValueError, match="'median'"):
+        fit_imputer(as_dataset(records), "median")
+
+
 def test_regression_imputation_with_one_observed_sat_uses_its_value():
     records = [simple_student(sid="S0", sat=1310, act=22, entries=[entry("S0", 1998, "autumn", "MATH")])]
     records += [
@@ -121,8 +130,8 @@ def test_regression_imputation_with_one_observed_sat_uses_its_value():
         for i in range(1, 8)
     ]
     imp = fit_imputer(as_dataset(records), "regression")
-    assert imp.sat(simple_student(sid="T", sat=None, act=30)) == pytest.approx(1310.0)
-    assert imp.sat(simple_student(sid="U", sat=None, act=None)) == pytest.approx(1310.0)
+    assert imp.impute(simple_student(sid="T", sat=None, act=30), "sat_score") == pytest.approx(1310.0)
+    assert imp.impute(simple_student(sid="U", sat=None, act=None), "sat_score") == pytest.approx(1310.0)
 
 
 def test_regression_imputation_tracks_linear_relation():
@@ -145,7 +154,7 @@ def test_regression_imputation_tracks_linear_relation():
         sats.append(sat)
     imp = fit_imputer(as_dataset(records), "regression")
     hidden = [(r, true) for r, true in zip(records, sats) if r.entry.sat_score is None]
-    errors = np.array([imp.sat(r) - true for r, true in hidden])
+    errors = np.array([imp.impute(r, "sat_score") - true for r, true in hidden])
     sd_truth = np.std([true for _, true in hidden])
     assert np.sqrt(np.mean(errors**2)) < sd_truth
     assert np.abs(errors).max() < 2.0  # essentially exact on a noiseless relation
@@ -160,7 +169,7 @@ def test_imputation_close_on_generated_cohort(cohort_small):
     observed = np.array([s.entry.sat_score for s in records if s.entry.sat_score is not None])
     assert observed.size > 20
     missing = [s for s in records if s.entry.sat_score is None]
-    preds = np.array([imp.sat(s) for s in missing])
+    preds = np.array([imp.impute(s, "sat_score") for s in missing])
     assert preds.min() >= 400 and preds.max() <= 1600
     assert abs(preds.mean() - observed.mean()) < observed.std()
 
@@ -246,9 +255,8 @@ def test_gatekeeper_tuple_is_department_tuple_on_restricted_entries():
         entry("S1", 1998, "autumn", "MATH", number=324, credits=5.0, grade=1.5),
         entry("S1", 1998, "autumn", "CHEM", number=142, credits=4.0, grade=3.0),
     ]
-    restricted = gatekeeper_entries(entries, "MATH", (100, 199))
-    assert [e.course_number for e in restricted] == [124]
-    assert department_tuple(restricted, "MATH") == (1, 5.0, 1, 3.5)
+    restricted = [e for e in entries if 100 <= e.course_number <= 199]
+    assert department_tuple(entries, "MATH", (100, 199)) == department_tuple(restricted, "MATH") == (1, 5.0, 1, 3.5)
 
 
 def test_gatekeeper_features_match_restricted_department_tuple(cohort_small):
@@ -261,11 +269,9 @@ def test_gatekeeper_features_match_restricted_department_tuple(cohort_small):
         vec = encode(s, schema)
         first = s.first_term_entries()
         for group, dept in cfg.gatekeeper_departments.items():
-            took, credits, classes, gpa = department_tuple(
-                gatekeeper_entries(first, dept, cfg.gatekeeper_range), dept
-            )
+            took, credits, classes, gpa = department_tuple(first, dept, cfg.gatekeeper_range)
             if gpa is None:
-                gpa = schema.gatekeeper_gpa_means[group]
+                gpa = schema.gpa_means["gatekeeper"][group]
             base = names.index(f"gatekeeper={group}:took")
             assert vec[base] == took
             assert vec[base + 1] == credits
@@ -302,3 +308,24 @@ def test_missing_dept_gpa_uses_training_mean():
     vec = encode(loner, schema)
     assert vec[schema.index_of("dept=MATH:gpa")] == pytest.approx(3.0)
     assert vec[schema.index_of("dept=MATH:took")] == 0.0
+
+
+
+@pytest.mark.parametrize("overrides, expected", [
+    ({}, {
+        "features.csv": "6f6e6c4e715346551254d7eefd393a557a38ae881bea5f2e88d58c2f3cc0e97f",
+        "schema.json": "369ada3f73b58c9fca4d1a8ed4471746bb104300545adcb1d4b575ce769454e4",
+    }),
+    ({"imputation_mode": "mean", "gatekeeper_range": [100, 149]}, {
+        "features.csv": "2b29cff6dc31893a27a4a1589009294cee2bd9d9ec1f0327957df85b66117df1",
+        "schema.json": "e5a457a5c4f46c8941d0a256a23cbeb52750123a1c4e6d127db8f40ac6315611",
+    }),
+])
+def test_featurize_bytes(tmp_path, overrides, expected):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": {"n_students": 200, "seed": 5}, **overrides}), encoding="utf-8")
+    args = ["--config", str(config), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
+    for stage in ("generate", "label", "featurize"):
+        assert main([stage, *args]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in expected}
+    assert digests == expected
