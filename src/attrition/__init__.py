@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .config import RunConfig
 from .labeling import LabeledDataset, OutcomeLabel, balance, enrollment_terms, label_all, label_outcome, window_allowance
-from .records import Demographics, EntryInfo, StudentRecord, Term, TranscriptEntry, term_from_index, term_index
+from .records import Demographics, EntryInfo, StudentRecord, TranscriptEntry, term_index, year_quarter
 from .synthetic import GroundTruth, SynthConfig, generate_cohort, write_cohort
 
 __all__ = [
@@ -16,15 +16,14 @@ __all__ = [
     "RunConfig",
     "StudentRecord",
     "SynthConfig",
-    "Term",
     "TranscriptEntry",
     "balance",
     "enrollment_terms",
     "generate_cohort",
     "label_all",
     "label_outcome",
-    "term_from_index",
     "term_index",
     "window_allowance",
     "write_cohort",
+    "year_quarter",
 ]

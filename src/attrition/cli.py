@@ -4,7 +4,8 @@ Subcommands: generate, label, featurize, train, evaluate, screen, timing,
 pipeline. Each stage reads its inputs from files, writes its artifacts plus
 a manifest line (the hashes of exactly the files it read, seeds, version),
 and fails with a one-line error naming the prerequisite subcommand when an
-input is missing. The resolved configuration is always echoed to the output
+input is missing, or the stage to rerun when an input lacks a student that
+another input has. The resolved configuration is always echoed to the output
 directory, and two runs with identical configuration produce byte-identical
 reports.
 """
@@ -109,16 +110,28 @@ def _load_cohort(run: _Run):
     return load_students(*(run.require(paths[key], "generate") for key in keys))
 
 
-def _read_labels(run: _Run) -> dict[str, OutcomeLabel]:
+class _Rows(dict):
+    """One artifact's rows by student id; a missing id names the file and the stage to rerun."""
+
+    def __init__(self, run: _Run, path: Path, rerun: str, rows):
+        super().__init__(rows)
+        self.stage, self.name, self.rerun = run.stage, path.name, rerun
+
+    def __missing__(self, sid: str):
+        raise StageError(self.stage, f"{self.name} has no row for student {sid}; rerun '{self.rerun}'")
+
+
+def _read_labels(run: _Run, rerun: str) -> dict[str, OutcomeLabel]:
+    """labels.csv by student id; `rerun` is the stage that fixes a missing id."""
     path = run.require(Path(run.cfg.out_dir) / "labels.csv", "label")
-    return {
-        row["student_id"]: OutcomeLabel(
+    return _Rows(run, path, rerun, (
+        (row["student_id"], OutcomeLabel(
             graduated=row["graduated"] == "1",
             quarters_enrolled=int(row["quarters_enrolled"]),
             window_allowance=int(row["window_allowance"]),
-        )
+        ))
         for row in read_csv(path)
-    }
+    ))
 
 
 def _read_features(run: _Run) -> tuple[list[str], np.ndarray]:
@@ -133,7 +146,7 @@ def _read_features(run: _Run) -> tuple[list[str], np.ndarray]:
 
 def _read_split(run: _Run) -> dict[str, str]:
     path = run.require(Path(run.cfg.out_dir) / "split.csv", "featurize")
-    return {row["student_id"]: row["partition"] for row in read_csv(path)}
+    return _Rows(run, path, "featurize", ((row["student_id"], row["partition"]) for row in read_csv(path)))
 
 
 def _read_schema_meta(run: _Run) -> dict:
@@ -143,7 +156,7 @@ def _read_schema_meta(run: _Run) -> dict:
 def _matrices(run: _Run):
     """Shared loading path for train/evaluate/screen: raw + standardized matrices."""
     ids, x_raw = _read_features(run)
-    labels = _read_labels(run)
+    labels = _read_labels(run, "featurize")  # features.csv was built from other labels
     parts = _read_split(run)
     meta = _read_schema_meta(run)
     y = np.array([0.0 if labels[i].graduated else 1.0 for i in ids])
@@ -168,7 +181,7 @@ def stage_generate(cfg: RunConfig) -> list[Path]:
 def stage_label(cfg: RunConfig) -> list[Path]:
     run = _Run("label", cfg)
     records = _load_cohort(run)
-    ds = label_all(records, cfg.degree_credits)
+    ds = label_all(records, cfg.synth.degree_credits)
     out = Path(cfg.out_dir) / "labels.csv"
     write_csv(
         out,
@@ -183,7 +196,7 @@ def stage_label(cfg: RunConfig) -> list[Path]:
 def stage_featurize(cfg: RunConfig) -> list[Path]:
     run = _Run("featurize", cfg)
     records = _load_cohort(run)
-    labels = _read_labels(run)
+    labels = _read_labels(run, "label")
     ds = LabeledDataset(tuple((r, labels[r.student_id]) for r in records))
     balanced = balance(ds, cfg.sampling_seed)
     train, test = split(balanced, cfg.test_fraction, cfg.split_seed)
@@ -306,7 +319,7 @@ def stage_screen(cfg: RunConfig) -> list[Path]:
 def stage_timing(cfg: RunConfig) -> list[Path]:
     run = _Run("timing", cfg)
     records = _load_cohort(run)
-    labels = _read_labels(run)
+    labels = _read_labels(run, "label")
     ncs = LabeledDataset(
         tuple((r, labels[r.student_id]) for r in records if not labels[r.student_id].graduated)
     )

@@ -24,7 +24,6 @@ def _default_knn_grid() -> tuple[int, ...]:
 class RunConfig:
     data_dir: str = "data"
     out_dir: str = "out"
-    degree_credits: float = 180.0
     imputation_mode: str = "regression"
     major_vocab_size: int = 150
     gatekeeper_range: tuple[int, int] = (100, 199)
@@ -46,12 +45,6 @@ class RunConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
 
     def __post_init__(self) -> None:
-        # labeling and the generator must agree on the completion window
-        if self.degree_credits != self.synth.degree_credits:
-            raise ValueError(
-                f"degree_credits ({self.degree_credits}) must equal "
-                f"synth.degree_credits ({self.synth.degree_credits})"
-            )
         if not (isinstance(self.cv_folds, int) and self.cv_folds >= 2):
             raise ValueError(f"cv_folds must be an integer >= 2, got {self.cv_folds!r}")
         if not (isinstance(self.test_fraction, (int, float)) and 0 < self.test_fraction < 1):

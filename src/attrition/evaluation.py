@@ -75,10 +75,7 @@ def split(
     test_idx = set(int(i) for i in perm[:n_test])
     train_records = tuple(r for i, r in enumerate(ds.records) if i not in test_idx)
     test_records = tuple(r for i, r in enumerate(ds.records) if i in test_idx)
-    return (
-        LabeledDataset(train_records, ds.balanced, ds.sampling_seed),
-        LabeledDataset(test_records, ds.balanced, ds.sampling_seed),
-    )
+    return LabeledDataset(train_records), LabeledDataset(test_records)
 
 
 def kfold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:

@@ -39,6 +39,7 @@ from .records import (
     SCORE_BOUNDS,
     StudentRecord,
     TranscriptEntry,
+    year_quarter,
 )
 
 DEFAULT_GATEKEEPER_DEPARTMENTS = {
@@ -260,8 +261,8 @@ class FeatureSchema:
         return [
             *_DEMOGRAPHIC_BLOCKS,
             _block("numeric", "demographics", ["birth_year"], lambda s, first: [float(s.demographics.birth_year)]),
-            _block("numeric", "transcript", ["entry_year"], lambda s, first: [float(s.first_term.year)]),
-            _one_hot("first_quarter", QUARTERS, "transcript", lambda s: s.first_term.quarter),
+            _block("numeric", "transcript", ["entry_year"], lambda s, first: [float(year_quarter(s.first_term)[0])]),
+            _one_hot("first_quarter", QUARTERS, "transcript", lambda s: year_quarter(s.first_term)[1]),
             _block("numeric", "entry", list(SCORE_BOUNDS),
                    lambda s, first: [imputer.impute(s, score) for score in SCORE_BOUNDS]),
             _block("dummy", "entry", [f"major={m}" for m in majors],

@@ -36,9 +36,10 @@ from .records import (
     EntryInfo,
     FieldError,
     StudentRecord,
-    Term,
     TranscriptEntry,
     make_student,
+    term_index,
+    year_quarter,
 )
 
 STUDENT_COLUMNS = (
@@ -164,18 +165,20 @@ def load_students(
 
     _each_row(students_file, STUDENT_COLUMNS, student)
     transcripts: dict[str, list[TranscriptEntry]] = {sid: [] for sid in students}
-    degrees: dict[str, list[Term]] = {sid: [] for sid in students}
+    degrees: dict[str, list[int]] = {sid: [] for sid in students}
+
+    def term(row):
+        return term_index(_cell(row, "year", int), _cell(row, "quarter"))
 
     def transcript(line, row):
         sid = _known_id(row, transcripts, "transcript")
-        term = Term(_cell(row, "year", int), _cell(row, "quarter"))
         transcripts[sid].append(TranscriptEntry(
-            sid, term, _cell(row, "department"), _cell(row, "course_number", int), _cell(row, "credits", float),
+            sid, term(row), _cell(row, "department"), _cell(row, "course_number", int), _cell(row, "credits", float),
             _cell(row, "grade", float, optional=True), _cell(row, "mark", optional=True), _cell(row, "remedial", bool),
         ))
 
     def degree(line, row):
-        degrees[_known_id(row, degrees, "degree")].append(Term(_cell(row, "year", int), _cell(row, "quarter")))
+        degrees[_known_id(row, degrees, "degree")].append(term(row))
 
     _each_row(transcripts_file, TRANSCRIPT_COLUMNS, transcript)
     if degrees_file is not None:
@@ -246,8 +249,7 @@ def write_transcripts(records: Iterable[StudentRecord], path: str | Path) -> Non
         (
             [
                 t.student_id,
-                t.term.year,
-                t.term.quarter,
+                *year_quarter(t.term),
                 t.department,
                 t.course_number,
                 t.credits,
@@ -265,5 +267,5 @@ def write_degrees(records: Iterable[StudentRecord], path: str | Path) -> None:
     write_csv(
         path,
         DEGREE_COLUMNS,
-        ([r.student_id, term.year, term.quarter] for r in records for term in r.degree_terms),
+        ([r.student_id, *year_quarter(term)] for r in records for term in r.degree_terms),
     )

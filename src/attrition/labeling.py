@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import StudentRecord, Term, term_index
+from .records import StudentRecord
 
 BASE_WINDOW_QUARTERS = 24
 QUARTERS_TO_DEGREE = 12
@@ -33,8 +33,6 @@ class OutcomeLabel:
 @dataclass(frozen=True)
 class LabeledDataset:
     records: tuple[tuple[StudentRecord, OutcomeLabel], ...]
-    balanced: bool = False
-    sampling_seed: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))
@@ -48,7 +46,7 @@ class LabeledDataset:
         return grads, len(self.records) - grads
 
 
-def enrollment_terms(student: StudentRecord) -> list[Term]:
+def enrollment_terms(student: StudentRecord) -> list[int]:
     """Distinct transcript terms, ascending: every entry bears a grade or mark, so each counts."""
     return sorted({e.term for e in student.transcript})
 
@@ -70,8 +68,7 @@ def window_allowance(transfer_credits: float, degree_credits: float = DEFAULT_DE
 def label_outcome(student: StudentRecord, degree_credits: float = DEFAULT_DEGREE_CREDITS) -> OutcomeLabel:
     """Binary completion outcome plus enrolled-quarter count for one student."""
     allowance = window_allowance(student.entry.transfer_credits, degree_credits)
-    first = term_index(student.first_term)
-    graduated = any(term_index(d) - first <= allowance for d in student.degree_terms)
+    graduated = any(d - student.first_term <= allowance for d in student.degree_terms)
     return OutcomeLabel(
         graduated=graduated,
         quarters_enrolled=len(enrollment_terms(student)),
@@ -100,8 +97,4 @@ def balance(ds: LabeledDataset, seed: int) -> LabeledDataset:
     rng = np.random.default_rng(seed)
     kept_majority = rng.choice(np.asarray(majority), size=len(minority), replace=False)
     keep = sorted(set(minority) | set(int(i) for i in kept_majority))
-    return LabeledDataset(
-        records=tuple(ds.records[i] for i in keep),
-        balanced=True,
-        sampling_seed=seed,
-    )
+    return LabeledDataset(tuple(ds.records[i] for i in keep))

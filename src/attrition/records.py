@@ -1,9 +1,12 @@
 """Domain records for registrar-style enrollment data.
 
 Everything here is immutable after construction and safe to share across
-threads. Calendar terms follow a four-quarter year in calendar order
-(winter < spring < summer < autumn), which keeps quarter arithmetic a plain
-integer subtraction.
+threads. A calendar term is one integer, its index ``4 * year + quarter
+ordinal`` over a four-quarter year in calendar order (winter < spring <
+summer < autumn): terms compare and sort as integers, and the quarters
+elapsed between two terms are the difference of their indices.
+`term_index` checks the term rules and builds the index; `year_quarter`
+gives back its calendar parts.
 
 The record constructors are the only place a domain rule is checked: every
 bound, every category, grade-or-mark, positive credits and a non-empty
@@ -14,7 +17,6 @@ cells, reports it at ``file:line: column``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 QUARTERS = ("winter", "spring", "summer", "autumn")
@@ -72,34 +74,20 @@ def _check_category(name: str, value, allowed: tuple[str, ...]) -> None:
         raise FieldError(name, f"unknown category {value!r}, expected one of {sorted(allowed)}")
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
-class Term:
-    """One calendar quarter, totally ordered by (year, quarter)."""
+def term_index(year: int, quarter: str) -> int:
+    """The term `quarter` of `year` as one integer: 4 * year + quarter ordinal.
 
-    year: int
-    quarter: str
-
-    def __post_init__(self) -> None:
-        _check_year("year", self.year)
-        _check_category("quarter", self.quarter, QUARTERS)
-
-    def __lt__(self, other: "Term") -> bool:
-        return term_index(self) < term_index(other)
-
-
-def term_index(t: Term) -> int:
-    """Integer position of a term: 4 * year + quarter ordinal.
-
-    Strictly monotone with the term order, so elapsed quarters between two
-    terms is just the difference of their indices.
+    A year below MIN_YEAR or an unknown quarter raises FieldError naming
+    "year" or "quarter".
     """
-    return 4 * t.year + QUARTERS.index(t.quarter)
+    _check_year("year", year)
+    _check_category("quarter", quarter, QUARTERS)
+    return 4 * year + QUARTERS.index(quarter)
 
 
-def term_from_index(index: int) -> Term:
-    """Inverse of :func:`term_index`."""
-    return Term(index // 4, QUARTERS[index % 4])
+def year_quarter(term: int) -> tuple[int, str]:
+    """Inverse of :func:`term_index`: the calendar year and quarter of `term`."""
+    return term // 4, QUARTERS[term % 4]
 
 
 @dataclass(frozen=True)
@@ -149,7 +137,7 @@ class TranscriptEntry:
     """
 
     student_id: str
-    term: Term
+    term: int  # term_index of the quarter
     department: str
     course_number: int
     credits: float
@@ -174,7 +162,7 @@ class TranscriptEntry:
 
 def transcript_sort_key(entry: TranscriptEntry) -> tuple[int, int, str]:
     """Canonical transcript order: term, then course number, then department."""
-    return (term_index(entry.term), entry.course_number, entry.department)
+    return (entry.term, entry.course_number, entry.department)
 
 
 @dataclass(frozen=True)
@@ -188,9 +176,9 @@ class StudentRecord:
     student_id: str
     demographics: Demographics
     entry: EntryInfo
-    first_term: Term = field(init=False)
+    first_term: int = field(init=False)
     transcript: tuple[TranscriptEntry, ...] = ()
-    degree_terms: tuple[Term, ...] = ()
+    degree_terms: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "transcript", tuple(self.transcript))
@@ -203,7 +191,7 @@ class StudentRecord:
                     "student_id",
                     f"transcript entry for {entry.student_id!r} attached to student {self.student_id!r}",
                 )
-        object.__setattr__(self, "first_term", min((e.term for e in self.transcript), key=term_index))
+        object.__setattr__(self, "first_term", min(e.term for e in self.transcript))
 
     def first_term_entries(self) -> tuple[TranscriptEntry, ...]:
         return tuple(e for e in self.transcript if e.term == self.first_term)
@@ -214,7 +202,7 @@ def make_student(
     demographics: Demographics,
     entry: EntryInfo,
     transcript: list[TranscriptEntry] | tuple[TranscriptEntry, ...],
-    degree_terms: list[Term] | tuple[Term, ...] = (),
+    degree_terms: list[int] | tuple[int, ...] = (),
 ) -> StudentRecord:
     """Build a StudentRecord with its transcript and degree terms in canonical order."""
     return StudentRecord(

@@ -38,7 +38,7 @@ import numpy as np
 
 from .features import department_tuple
 from .io import read_csv, write_csv, write_degrees, write_students, write_transcripts
-from .labeling import window_allowance
+from .labeling import DEFAULT_DEGREE_CREDITS, window_allowance
 from .records import (
     GENDERS,
     PREVIOUS_SCHOOLING,
@@ -49,11 +49,10 @@ from .records import (
     Demographics,
     EntryInfo,
     StudentRecord,
-    Term,
     TranscriptEntry,
     make_student,
-    term_from_index,
     term_index,
+    year_quarter,
 )
 
 # First departments get recognizable codes so signal weights and gatekeeper
@@ -99,7 +98,7 @@ class SynthConfig:
     late_degree_rate: float = 0.08
     sat_observed_rate: float = 0.40
     act_observed_rate: float = 0.12
-    degree_credits: float = 180.0
+    degree_credits: float = DEFAULT_DEGREE_CREDITS
 
     def __post_init__(self) -> None:
         if self.n_students < 2:
@@ -215,13 +214,13 @@ def _round_grade(g: float) -> float:
     return round(min(4.0, max(0.0, g)) * 10.0) / 10.0
 
 
-def _enrolled_offsets(rng: np.random.Generator, first_index: int, count: int) -> list[int]:
+def _enrolled_offsets(rng: np.random.Generator, first_term: int, count: int) -> list[int]:
     """Quarter offsets of enrolled terms: consecutive, usually skipping summer."""
     offsets = [0]
     off = 0
     while len(offsets) < count:
         off += 1
-        if term_from_index(first_index + off).quarter == "summer" and rng.random() < 0.85:
+        if year_quarter(first_term + off)[1] == "summer" and rng.random() < 0.85:
             continue
         offsets.append(off)
     return offsets
@@ -240,7 +239,7 @@ def _draw_courses(
     difficulties: np.ndarray,
     ability: float,
     sid: str,
-    term: Term,
+    term: int,
     first_term: bool,
     remedial_student: bool,
 ) -> list[TranscriptEntry]:
@@ -344,7 +343,7 @@ def generate_cohort(cfg: SynthConfig) -> tuple[list[StudentRecord], list[GroundT
         fig = bool(rng.random() < 0.15)  # independent of outcome by design
         remedial_student = bool(rng.random() < (0.25 if ability < -1.0 else 0.05))
 
-        first_term = Term(entry_year, first_quarter)
+        first_term = term_index(entry_year, first_quarter)
         first_entries = _draw_courses(
             rng, cfg, departments, dept_index, signal_departments, difficulties,
             ability, sid, first_term, True, remedial_student,
@@ -378,28 +377,27 @@ def generate_cohort(cfg: SynthConfig) -> tuple[list[StudentRecord], list[GroundT
                           transfer_credits, declared, fig)
         demo = Demographics(race, gender, hispanic, residency, entry_year - entry_age)
         allowance = window_allowance(transfer_credits, cfg.degree_credits)
-        first_index = term_index(first_term)
 
         if is_dropout:
             quarters = int(min(24, max(1, round(cfg.timing_intercept + cfg.timing_slope * risk + timing_noise))))
-            offsets = _enrolled_offsets(rng, first_index, quarters)
-            degree_terms: list[Term] = []
+            offsets = _enrolled_offsets(rng, first_term, quarters)
+            degree_terms: list[int] = []
             if late_degree:
                 gap = int(rng.integers(1, 9))
-                degree_terms = [term_from_index(first_index + allowance + gap)]
+                degree_terms = [first_term + allowance + gap]
             truths.append(GroundTruth(sid, risk, "nc", quarters))
         else:
             target = int(rng.normal(min(11.0, allowance * 0.8), 2.5))
             degree_offset = min(allowance, max(1, target))
-            offsets = [o for o in _enrolled_offsets(rng, first_index, degree_offset + 1) if o <= degree_offset]
-            degree_terms = [term_from_index(first_index + degree_offset)]
+            offsets = [o for o in _enrolled_offsets(rng, first_term, degree_offset + 1) if o <= degree_offset]
+            degree_terms = [first_term + degree_offset]
             truths.append(GroundTruth(sid, risk, "grad", None))
 
         entries = list(first_entries)
         for off in offsets[1:]:
             entries.extend(
                 _draw_courses(rng, cfg, departments, dept_index, signal_departments, difficulties,
-                              ability, sid, term_from_index(first_index + off), False, False)
+                              ability, sid, first_term + off, False, False)
             )
         records.append(make_student(sid, demo, entry, entries, degree_terms))
     return records, truths

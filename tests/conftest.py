@@ -3,7 +3,7 @@ import pytest
 
 from attrition.features import FeatureConfig, encode_dataset, fit_schema
 from attrition.labeling import balance, label_all
-from attrition.records import Demographics, EntryInfo, Term, TranscriptEntry, make_student
+from attrition.records import Demographics, EntryInfo, TranscriptEntry, make_student, term_index
 from attrition.synthetic import SynthConfig, generate_cohort
 
 
@@ -25,12 +25,12 @@ def simple_student(
     demo = Demographics(race, gender, False, residency, birth_year)
     entry = EntryInfo(prev, sat, act, transfer_credits, majors, fig)
     if entries is None:
-        entries = [TranscriptEntry(sid, Term(1998, "autumn"), "MATH", 124, 5.0, 3.1)]
+        entries = [TranscriptEntry(sid, term_index(1998, "autumn"), "MATH", 124, 5.0, 3.1)]
     return make_student(sid, demo, entry, entries, degree_terms)
 
 
 def entry(sid, year, quarter, dept, number=101, credits=5.0, grade=3.0, mark=None, remedial=False):
-    return TranscriptEntry(sid, Term(year, quarter), dept, number, credits, grade, mark, remedial)
+    return TranscriptEntry(sid, term_index(year, quarter), dept, number, credits, grade, mark, remedial)
 
 
 @pytest.fixture(scope="session")

@@ -277,3 +277,56 @@ def test_timing_runs_on_a_150_student_cohort(tmp_path):
         assert run([sub, "--config", path, "--data", data, "--out", out]) == 0
     timing = json.loads((out / "timing.json").read_text())
     assert math.isfinite(timing["rmse"]) and timing["rmse"] > 0
+
+
+def run_stages(tmp_path, *steps):
+    """Run each (cohort size, stages) step in turn into one data and one out dir."""
+    out, data = tmp_path / "out", tmp_path / "data"
+    for n_students, stages in steps:
+        config = write_config(tmp_path, synth={"n_students": n_students, "seed": 77})
+        for sub in stages:
+            assert run([sub, "--config", config, "--data", data, "--out", out]) == 0
+    return ["--config", config, "--data", data, "--out", out]
+
+
+@pytest.mark.parametrize("stage", ["featurize", "timing"])
+def test_labels_of_a_smaller_cohort_name_the_student_and_label(tmp_path, capsys, stage):
+    args = run_stages(tmp_path, (200, ["generate", "label"]), (250, ["generate"]))
+    capsys.readouterr()
+    assert run([stage, *args]) == 1
+    assert capsys.readouterr().err == f"error: {stage}: labels.csv has no row for student S000201; rerun 'label'\n"
+
+
+def test_features_of_other_labels_name_the_student_and_featurize(tmp_path, capsys):
+    args = run_stages(tmp_path, (250, ["generate", "label", "featurize"]), (200, ["generate", "label"]))
+    out = tmp_path / "out"
+    ids = [line.split(",")[0] for line in (out / "features.csv").read_text().splitlines()[1:]]
+    missing = next(sid for sid in ids if int(sid[1:]) > 200)
+    capsys.readouterr()
+    assert run(["train", *args]) == 1
+    assert capsys.readouterr().err == f"error: train: labels.csv has no row for student {missing}; rerun 'featurize'\n"
+
+    assert run(["featurize", *args]) == 0
+    header, first, *rest = (out / "split.csv").read_text().splitlines()
+    (out / "split.csv").write_text("\n".join([header, *rest]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["train", *args]) == 1
+    sid = first.split(",")[0]
+    assert capsys.readouterr().err == f"error: train: split.csv has no row for student {sid}; rerun 'featurize'\n"
+
+
+def test_label_reads_the_generator_degree_credits(tmp_path):
+    from attrition.io import load_students
+    from attrition.labeling import window_allowance
+    from attrition.synthetic import cohort_paths
+
+    config = write_config(tmp_path, synth={"n_students": 200, "seed": 77, "degree_credits": 90})
+    data, out = tmp_path / "data", tmp_path / "out"
+    for sub in ("generate", "label"):
+        assert run([sub, "--config", config, "--data", data, "--out", out]) == 0
+    paths = cohort_paths(data)
+    records = {r.student_id: r for r in load_students(paths["students"], paths["transcripts"])}
+    rows = [line.split(",") for line in (out / "labels.csv").read_text().splitlines()[1:]]
+    transfer = [records[sid].entry.transfer_credits for sid, *_ in rows]
+    assert [int(row[3]) for row in rows] == [window_allowance(t, 90) for t in transfer]
+    assert [window_allowance(t, 90) for t in transfer] != [window_allowance(t) for t in transfer]

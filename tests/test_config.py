@@ -6,21 +6,15 @@ from attrition.cli import main
 from attrition.config import RunConfig
 
 
-def test_degree_credits_must_match_the_generator(tmp_path, capsys):
+def test_top_level_degree_credits_is_refused(tmp_path, capsys):
+    # degree_credits is set once, under synth, for the generator and labeling alike
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"degree_credits": 120, "synth": {"n_students": 300}}), encoding="utf-8")
     code = main(["generate", "--config", str(path), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == (
-        "error: generate: degree_credits (120) must equal synth.degree_credits (180.0)\n"
-    )
+    assert captured.err == "error: generate: unknown config fields: ['degree_credits']\n"
     assert not (tmp_path / "data").exists()
-
-
-def test_degree_credits_set_in_both_places_is_accepted():
-    cfg = RunConfig.from_dict({"degree_credits": 120.0, "synth": {"degree_credits": 120.0}})
-    assert cfg.degree_credits == cfg.synth.degree_credits == 120.0
 
 
 @pytest.mark.parametrize("seed", [None, 5])
@@ -129,7 +123,7 @@ def test_feature_fields_at_their_limits_are_accepted():
     ({"synth": {"n_majors": 12.0}}, "n_majors must be an integer, got 12.0"),
     ({"synth": {"grade_noise_sd": "0.5"}}, "grade_noise_sd must be a number, got '0.5'"),
     ({"forest_n_trees": "5"}, "forest_n_trees must be an integer, got '5'"),
-    ({"degree_credits": False}, "degree_credits must be a number, got False"),
+    ({"synth": {"degree_credits": False}}, "degree_credits must be a number, got False"),
     ({"data_dir": 5}, "data_dir must be a string, got 5"),
 ])
 @pytest.mark.parametrize("stage", ["generate", "train"])
@@ -143,5 +137,6 @@ def test_bad_config_value_stops_every_stage_in_one_line(tmp_path, capsys, raw, m
 
 
 def test_float_field_accepts_an_integer():
-    cfg = RunConfig.from_dict({"degree_credits": 120, "synth": {"degree_credits": 120, "grade_noise_sd": 1}})
+    cfg = RunConfig.from_dict({"synth": {"degree_credits": 120, "grade_noise_sd": 1}})
+    assert cfg.synth.degree_credits == 120
     assert cfg.synth.grade_noise_sd == 1

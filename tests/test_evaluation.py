@@ -387,7 +387,7 @@ def test_no_information_flow_from_test_rows(cohort_small):
     model_a = train_logistic(x_a, y_a, 0.1)
 
     # drop one test row; nothing fitted may change
-    smaller_test = LabeledDataset(test.records[1:], test.balanced, test.sampling_seed)
+    smaller_test = LabeledDataset(test.records[1:])
     schema_b = fit_schema(train, FeatureConfig())
     _, x_b, y_b = encode_dataset(train, schema_b)
     model_b = train_logistic(x_b, y_b, 0.1)

@@ -15,6 +15,7 @@ from attrition.io import (
     write_students,
     write_transcripts,
 )
+from attrition.records import year_quarter
 from attrition.synthetic import SynthConfig, generate_cohort, write_cohort
 
 STUDENT_HEADER = (
@@ -82,8 +83,7 @@ def test_pass_fail_only_student_gets_first_term(tmp_path):
     write(students, [STUDENT_HEADER, "S1,Asian,Female,0,Resident,1980,Freshman,,,0,,0"])
     write(transcripts, [TRANSCRIPT_HEADER, "S1,2001,spring,ART,101,2.0,,P,0"])
     (record,) = load_students(students, transcripts)
-    assert record.first_term.year == 2001
-    assert record.first_term.quarter == "spring"
+    assert year_quarter(record.first_term) == (2001, "spring")
 
 
 def test_duplicate_student_id_rejected(tmp_path):
@@ -136,14 +136,21 @@ def test_malformed_row_names_file_line_and_column(tmp_path):
     ("transcripts", 3, "S1,1999,fall,CHEM,142,4.0,,P,0",
      "transcripts.csv:4: column 'quarter': unknown category 'fall', "
      "expected one of ['autumn', 'spring', 'summer', 'winter']"),
+    ("transcripts", 1, "S1,1850,autumn,MATH,124,5.0,3.1,,0",
+     "transcripts.csv:2: column 'year': value 1850 below minimum 1900"),
+    ("degrees", 1, "S1,2002,fall",
+     "degrees.csv:2: column 'quarter': unknown category 'fall', "
+     "expected one of ['autumn', 'spring', 'summer', 'winter']"),
 ])
 def test_numeric_cell_errors_name_file_line_and_column(tmp_path, file, index, row, context):
     paths = dict(zip(("students", "transcripts"), two_student_files(tmp_path)))
+    paths["degrees"] = tmp_path / "degrees.csv"
+    write(paths["degrees"], ["student_id,year,quarter", "S1,2002,spring"])
     lines = paths[file].read_text().splitlines()
     lines[index] = row
     write(paths[file], lines)
     with pytest.raises(DataFormatError) as err:
-        load_students(paths["students"], paths["transcripts"])
+        load_students(paths["students"], paths["transcripts"], paths["degrees"])
     assert str(err.value) == f"{tmp_path}/{context}"
 
 

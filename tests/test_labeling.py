@@ -11,7 +11,7 @@ from attrition.labeling import (
     label_outcome,
     window_allowance,
 )
-from attrition.records import StudentRecord, Term
+from attrition.records import StudentRecord, term_index
 
 from conftest import entry, simple_student
 
@@ -24,7 +24,7 @@ def test_enrollment_terms_dedups_and_sorts():
             entry("S1", 2000, "winter", "CHEM"),
         ]
     )
-    assert enrollment_terms(s) == [Term(1999, "autumn"), Term(2000, "winter")]
+    assert enrollment_terms(s) == [term_index(1999, "autumn"), term_index(2000, "winter")]
 
 
 def test_single_pass_fail_entry_counts_as_enrollment():
@@ -67,7 +67,7 @@ def test_window_allowance_always_in_range(credits, degree_credits):
 def grad_student(degree_year, degree_quarter):
     return simple_student(
         entries=[entry("S1", 1998, "autumn", "MATH")],
-        degree_terms=[Term(degree_year, degree_quarter)],
+        degree_terms=[term_index(degree_year, degree_quarter)],
     )
 
 
@@ -110,7 +110,7 @@ def test_label_outcome_invariant_to_transcript_order(perm):
         demographics=simple_student().demographics,
         entry=simple_student().entry,
         transcript=shuffled,
-        degree_terms=(Term(2002, "spring"),),
+        degree_terms=(term_index(2002, "spring"),),
     )
     lab = label_outcome(s)
     assert lab.graduated
@@ -129,8 +129,6 @@ def shared_dataset(n_grads, n_ncs):
 def test_balance_downsamples_majority():
     out = balance(shared_dataset(100, 40), seed=1)
     assert out.class_counts() == (40, 40)
-    assert out.balanced
-    assert out.sampling_seed == 1
 
 
 def test_balance_at_registrar_scale():

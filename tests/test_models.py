@@ -140,7 +140,7 @@ def default_train_matrix():
     """The standardized training matrix of `attrition pipeline --seed 201` at default settings."""
     cfg = RunConfig().override_seed(201)
     records, _ = generate_cohort(cfg.synth)
-    balanced = balance(label_all(records, cfg.degree_credits), cfg.sampling_seed)
+    balanced = balance(label_all(records, cfg.synth.degree_credits), cfg.sampling_seed)
     train, _ = split(balanced, cfg.test_fraction, cfg.split_seed)
     _, x, y = encode_dataset(train, fit_schema(train, cfg.feature_config()), standardize=True)
     assert x.shape == (387, 90)

@@ -6,53 +6,53 @@ from attrition.records import (
     QUARTERS,
     Demographics,
     FieldError,
-    Term,
     TranscriptEntry,
-    term_from_index,
     term_index,
     transcript_sort_key,
+    year_quarter,
 )
 
 from conftest import entry, simple_student
 
 
 def test_term_index_values():
-    assert term_index(Term(1998, "autumn")) == 7995
-    assert term_index(Term(1999, "winter")) == 7996
-    assert term_index(Term(2004, "autumn")) - term_index(Term(1998, "autumn")) == 24
+    assert term_index(1998, "autumn") == 7995
+    assert term_index(1999, "winter") == 7996
+    assert term_index(2004, "autumn") - term_index(1998, "autumn") == 24
 
 
 def test_term_ordering_matches_calendar():
-    terms = [Term(1999, "winter"), Term(1998, "autumn"), Term(1998, "winter"), Term(1998, "summer")]
-    assert sorted(terms) == [
-        Term(1998, "winter"),
-        Term(1998, "summer"),
-        Term(1998, "autumn"),
-        Term(1999, "winter"),
+    terms = [(1999, "winter"), (1998, "autumn"), (1998, "winter"), (1998, "summer")]
+    assert [year_quarter(t) for t in sorted(term_index(*t) for t in terms)] == [
+        (1998, "winter"),
+        (1998, "summer"),
+        (1998, "autumn"),
+        (1999, "winter"),
     ]
 
 
 @given(st.integers(min_value=1900, max_value=3000), st.sampled_from(QUARTERS))
 def test_term_index_round_trips(year, quarter):
-    t = Term(year, quarter)
-    assert term_from_index(term_index(t)) == t
+    assert year_quarter(term_index(year, quarter)) == (year, quarter)
 
 
 @given(st.integers(min_value=4 * 1900, max_value=4 * 3000 + 3))
 def test_index_round_trips_from_integer(index):
-    assert term_index(term_from_index(index)) == index
+    assert term_index(*year_quarter(index)) == index
 
 
 def test_term_validation():
-    with pytest.raises(ValueError):
-        Term(1800, "autumn")
-    with pytest.raises(ValueError):
-        Term(2000, "fall")
+    with pytest.raises(FieldError) as err:
+        term_index(1800, "autumn")
+    assert err.value.field == "year"
+    with pytest.raises(FieldError) as err:
+        term_index(2000, "fall")
+    assert err.value.field == "quarter"
 
 
 def test_entry_requires_grade_or_mark():
     with pytest.raises(ValueError):
-        TranscriptEntry("S1", Term(1998, "autumn"), "MATH", 124, 5.0, None, None)
+        TranscriptEntry("S1", term_index(1998, "autumn"), "MATH", 124, 5.0, None, None)
 
 
 def test_grade_range_enforced():
@@ -90,12 +90,12 @@ def test_first_term_is_derived_minimum():
             entry("S1", 1998, "autumn", "MATH"),
         ]
     )
-    assert s.first_term == Term(1998, "autumn")
+    assert s.first_term == term_index(1998, "autumn")
 
 
 def test_first_term_counts_pass_fail_marks():
     s = simple_student(entries=[entry("S1", 2001, "winter", "ART", grade=None, mark="P")])
-    assert s.first_term == Term(2001, "winter")
+    assert s.first_term == term_index(2001, "winter")
 
 
 def test_transcript_entries_must_share_student_id():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from attrition.labeling import window_allowance
-from attrition.records import term_index
 from attrition.synthetic import (
     GroundTruth,
     SynthConfig,
@@ -122,7 +121,7 @@ def test_graduates_have_degree_inside_window():
         if t.true_label == "grad":
             allowance = window_allowance(s.entry.transfer_credits, cfg.degree_credits)
             assert s.degree_terms
-            delta = min(term_index(d) for d in s.degree_terms) - term_index(s.first_term)
+            delta = min(s.degree_terms) - s.first_term
             assert delta <= allowance
 
 
@@ -140,7 +139,7 @@ def test_some_ncs_carry_late_degrees(cohort_small):
     assert late, "late-degree non-completions should exist to exercise the window boundary"
     for s in late:
         allowance = window_allowance(s.entry.transfer_credits, cfg.degree_credits)
-        delta = min(term_index(d) for d in s.degree_terms) - term_index(s.first_term)
+        delta = min(s.degree_terms) - s.first_term
         assert delta > allowance
 
 
