@@ -2,12 +2,13 @@
 
 Subcommands: generate, label, featurize, train, evaluate, screen, timing,
 pipeline. Each stage reads its inputs from files, writes its artifacts plus
-a manifest line (the hashes of exactly the files it read, seeds, version),
-and fails with a one-line error naming the prerequisite subcommand when an
-input is missing, or the stage to rerun when an input lacks a student that
-another input has. The resolved configuration is always echoed to the output
-directory, and two runs with identical configuration produce byte-identical
-reports.
+a manifest line (the hashes of exactly the files it read, seeds, version,
+wall time and peak RSS), and fails with a one-line error naming the
+prerequisite subcommand when an input is missing, or the stage to rerun when
+an input lacks a student that another input has or labels.csv was made from
+other cohort files than the ones on disk. The resolved configuration is
+always echoed to the output directory, and two runs with identical
+configuration produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import resource
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -71,12 +74,14 @@ def _sha256(path: Path) -> str:
 
 
 class _Run:
-    """One stage run: its name, its config, and the input files it reads, in reading order."""
+    """One stage run: its name, its config, the input files it reads in reading order, its start."""
 
     def __init__(self, stage: str, cfg: RunConfig):
         self.stage = stage
         self.cfg = cfg
         self.inputs: list[Path] = []
+        self.started = time.perf_counter()
+        self._digests: dict[Path, str] = {}
 
     def require(self, path: Path, prerequisite: str) -> Path:
         """`path`, recorded as an input; a missing file names the stage that writes it."""
@@ -85,13 +90,20 @@ class _Run:
         self.inputs.append(path)
         return path
 
+    def digest(self, path: Path) -> str:
+        """sha256 of an input, computed once per run."""
+        if path not in self._digests:
+            self._digests[path] = _sha256(path)
+        return self._digests[path]
+
     def manifest(self, outputs: list[Path]) -> None:
-        """Append the stage's manifest line: hashes of its inputs, its outputs, the seeds."""
+        """Append the stage's manifest line: hashes of its inputs, its outputs, the seeds,
+        its wall time so far and the process's peak RSS so far."""
         cfg = self.cfg
         line = {
             "stage": self.stage,
             "version": __version__,
-            "inputs": {p.name: _sha256(p) for p in self.inputs},
+            "inputs": {p.name: self.digest(p) for p in self.inputs},
             "outputs": [p.name for p in outputs],
             "seeds": {
                 "split": cfg.split_seed,
@@ -99,15 +111,35 @@ class _Run:
                 "sampling": cfg.sampling_seed,
                 "synth": cfg.synth.seed,
             },
+            "wall_s": round(time.perf_counter() - self.started, 3),
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         }
         with open(Path(cfg.out_dir) / "manifest.jsonl", "a", encoding="utf-8") as fh:
             fh.write(json.dumps(line, sort_keys=True) + "\n")
 
 
+_COHORT_KEYS = ("students", "transcripts", "degrees")
+
+
 def _load_cohort(run: _Run):
     paths = cohort_paths(run.cfg.data_dir)
-    keys = ("students", "transcripts", "degrees")
-    return load_students(*(run.require(paths[key], "generate") for key in keys))
+    return load_students(*(run.require(paths[key], "generate") for key in _COHORT_KEYS))
+
+
+def _check_label_cohort(run: _Run) -> None:
+    """The cohort files hash as they did when the last `label` run read them.
+
+    A cohort of the same students regenerated with another seed passes the id
+    join, so the manifest is the only witness that labels.csv is stale. With
+    no `label` line in the manifest, labels.csv counts as stale too.
+    """
+    paths = cohort_paths(run.cfg.data_dir)
+    current = {paths[key].name: run.digest(paths[key]) for key in _COHORT_KEYS}
+    manifest = Path(run.cfg.out_dir) / "manifest.jsonl"
+    lines = manifest.read_text(encoding="utf-8").splitlines() if manifest.exists() else []
+    labeled = [line["inputs"] for line in map(json.loads, lines) if line.get("stage") == "label"]
+    if not labeled or any(labeled[-1].get(name) != digest for name, digest in current.items()):
+        raise StageError(run.stage, "labels.csv was made from another cohort; rerun 'label'")
 
 
 class _Rows(dict):
@@ -171,10 +203,11 @@ def _matrices(run: _Run):
 def stage_generate(cfg: RunConfig) -> list[Path]:
     from .synthetic import generate_cohort, write_cohort
 
+    run = _Run("generate", cfg)
     records, truths = generate_cohort(cfg.synth)
     paths = write_cohort(records, truths, cfg.data_dir)
     outputs = list(paths.values())
-    _Run("generate", cfg).manifest(outputs)
+    run.manifest(outputs)
     return outputs
 
 
@@ -198,6 +231,7 @@ def stage_featurize(cfg: RunConfig) -> list[Path]:
     records = _load_cohort(run)
     labels = _read_labels(run, "label")
     ds = LabeledDataset(tuple((r, labels[r.student_id]) for r in records))
+    _check_label_cohort(run)
     balanced = balance(ds, cfg.sampling_seed)
     train, test = split(balanced, cfg.test_fraction, cfg.split_seed)
     schema = fit_schema(train, cfg.feature_config())
@@ -323,6 +357,7 @@ def stage_timing(cfg: RunConfig) -> list[Path]:
     ncs = LabeledDataset(
         tuple((r, labels[r.student_id]) for r in records if not labels[r.student_id].graduated)
     )
+    _check_label_cohort(run)
     report = timing_experiment(
         ncs, cfg.timing_lambda_grid, cfg.split_seed,
         feature_config=cfg.feature_config(), folds=cfg.cv_folds,

@@ -9,6 +9,15 @@ non-increasing at every accepted iterate. It stops at gradient max-norm
 the loss; 2-6 steps are typical. Ridge regression has a closed form and is
 solved exactly by least squares. All trainers are deterministic functions of
 (data, hyperparameters, seed).
+
+The random forest grows all of its trees together, one level at a time
+(level-synchronous, as in SLIQ and SPRINT). Each column is ranked once per
+forest; a level's (node, candidate feature) groups are ordered by one stable
+integer argsort and scored by one segmented cumsum of the 0/1 labels, in
+chunks of at most _CHUNK_ELEMENTS (node, feature, row) elements (a node with
+more is scored alone), so scratch memory does not grow with the number of
+open nodes. The splits, tie-breaks and depth-first node order are those of a
+node-by-node recursive grower.
 """
 
 from __future__ import annotations
@@ -259,110 +268,185 @@ class ForestModel:
     schema_hash: str | None = None
 
 
-def _best_split(
-    x: np.ndarray, y: np.ndarray, rows: np.ndarray, feats: np.ndarray, min_leaf: int
-) -> tuple[int, float] | None:
-    """Exact best Gini split over candidate features; ties go to the lowest
-    feature index, then the lowest threshold."""
-    m = rows.shape[0]
-    cols = x[np.ix_(rows, feats)]
-    order = np.argsort(cols, axis=0, kind="stable")
-    svals = np.take_along_axis(cols, order, axis=0)
-    sy = y[rows][order]
+# (node, candidate feature, row) elements scored at once while a level grows
+_CHUNK_ELEMENTS = 1 << 13
 
-    pos_total = float(y[rows].sum())
-    left_pos = np.cumsum(sy, axis=0)[:-1]
-    left_cnt = np.arange(1, m, dtype=float)[:, None]
-    right_pos = pos_total - left_pos
-    right_cnt = m - left_cnt
 
-    valid = svals[1:] > svals[:-1]
+def _dense_ranks(x: np.ndarray) -> np.ndarray:
+    """Each column as dense integer ranks: equal values share a rank."""
+    order = np.argsort(x, axis=0, kind="stable")
+    svals = np.take_along_axis(x, order, axis=0)
+    dense = np.zeros(x.shape, dtype=np.int64)
+    np.cumsum(svals[1:] > svals[:-1], axis=0, out=dense[1:])
+    ranks = np.empty_like(dense)
+    np.put_along_axis(ranks, order, dense, axis=0)
+    return ranks
+
+
+def _ranges(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(segment, offset within it) of each element of consecutive segments."""
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    return seg, np.arange(len(seg)) - (np.cumsum(lengths) - lengths)[seg]
+
+
+def _score_nodes(
+    x: np.ndarray, labels: np.ndarray, ranks: np.ndarray, rows: np.ndarray, start: np.ndarray,
+    m: np.ndarray, pos: np.ndarray, feats: np.ndarray, min_leaf: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact best Gini split of each node over its candidate features.
+
+    Node i holds rows[start[i]:start[i] + m[i]], pos[i] of them positive, and
+    may split on the sorted features feats[i]. Returns (feature, threshold)
+    per node, feature -1 where no split is valid. One stable argsort orders
+    every (node, feature) group by value and one cumsum counts the positives;
+    the Gini arithmetic is the same float operations on the same integer
+    counts as a per-node search. Ties go to the lowest feature, then the
+    lowest threshold: thresholds rise with sorted position, so that is the
+    first minimum in (feature, position) order.
+    """
+    k, nf = feats.shape
+    grp, within = _ranges(np.repeat(m, nf))  # group g is node g // nf, feature slot g % nf
+    node = grp // nf
+    row = rows[start[node] + within]
+    feat = feats.ravel()[grp]
+    row = row[np.argsort(grp * (x.shape[0] + 1) + ranks[row, feat], kind="stable")]
+    svals = x[row, feat]
+    sy = labels[row]
+    cum = np.cumsum(sy)
+    left_pos = cum - (cum - sy)[within == 0][grp]
+
+    left_cnt = within[:-1] + 1
+    right_cnt = m[node[:-1]] - left_cnt
+    valid = (svals[1:] > svals[:-1]) & (right_cnt > 0)
     if min_leaf > 1:
         valid &= (left_cnt >= min_leaf) & (right_cnt >= min_leaf)
-    if not valid.any():
-        return None
+    best_feat = np.full(k, -1, dtype=np.int64)
+    best_thr = np.zeros(k)
+    at = np.flatnonzero(valid)
+    if not at.size:
+        return best_feat, best_thr
 
-    pl = left_pos / left_cnt
-    pr = right_pos / right_cnt
+    nd = node[at]
+    n_rows = m[nd].astype(float)
+    lc = left_cnt[at].astype(float)
+    rc = n_rows - lc
+    pl = left_pos[at] / lc
+    pr = (pos[nd].astype(float) - left_pos[at]) / rc
     gini_left = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
     gini_right = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
-    weighted = (left_cnt * gini_left + right_cnt * gini_right) / m
-    weighted = np.where(valid, weighted, np.inf)
+    weighted = (lc * gini_left + rc * gini_right) / n_rows
 
-    best = float(weighted.min())
-    if not math.isfinite(best):
-        return None
-    positions = np.argwhere(weighted == best)
-    choice: tuple[int, float] | None = None
-    for pos, col in positions:
-        feat = int(feats[col])
-        lo, hi = float(svals[pos, col]), float(svals[pos + 1, col])
-        thr = (lo + hi) / 2.0
-        if thr >= hi:  # midpoint rounded up between adjacent floats
-            thr = lo
-        if choice is None or (feat, thr) < choice:
-            choice = (feat, thr)
-    return choice
+    first = np.flatnonzero(np.r_[True, nd[1:] != nd[:-1]])
+    best = np.minimum.reduceat(weighted, first)
+    hits = np.flatnonzero(weighted == np.repeat(best, np.diff(np.r_[first, len(at)])))
+    hit_node = nd[hits]
+    e = at[hits[np.r_[True, hit_node[1:] != hit_node[:-1]]]]
+    lo, hi = svals[e], svals[e + 1]
+    thr = (lo + hi) / 2.0
+    thr = np.where(thr >= hi, lo, thr)  # midpoint rounded up between adjacent floats
+    best_feat[nd[first]] = feat[e]
+    best_thr[nd[first]] = thr
+    return best_feat, best_thr
 
 
-def _grow_tree(
-    x: np.ndarray, y: np.ndarray, rows: np.ndarray, params: ForestParams,
-    nf: int, node_key: list[int],
-) -> _Tree:
-    """Grow one tree on the bootstrap `rows`, nodes in depth-first preorder.
+def _grow_forest(
+    x: np.ndarray, labels: np.ndarray, params: ForestParams,
+    bootstraps: list[np.ndarray], node_keys: list[list[int]],
+) -> list[_Tree]:
+    """Grow every tree one level at a time; nodes come out in depth-first preorder.
 
-    Node h (root 1, children 2h and 2h + 1) draws its features from a
-    generator keyed by (node_key, h), so no split depends on max_depth: the
-    tree grown to depth d is this tree cut off at d (`forest_predict(depths=)`).
+    The open nodes of all trees keep their rows as consecutive segments of
+    one flat array. Node h (root 1, children 2h and 2h + 1) of tree t draws
+    its features from a generator keyed by (node_keys[t], h), so no split
+    depends on max_depth: the tree grown to depth d is this tree cut off at d
+    (`forest_predict(depths=)`). A level is scored in chunks of whole nodes,
+    at most _CHUNK_ELEMENTS (node, feature, row) elements each unless one
+    node alone has more, so scratch memory stays bounded however many nodes
+    are open; each split node's rows are then partitioned stably into its
+    two children.
     """
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    prob: list[float] = []
-    d = x.shape[1]
+    n, d = x.shape
+    nf = math.ceil(math.sqrt(d))
+    ranks = _dense_ranks(x)
+    rows = np.concatenate(bootstraps)
+    tree = np.arange(len(bootstraps))
+    heap = np.ones(len(bootstraps), dtype=object)  # Python ints: ids reach 2**63 at depth 63
+    m = np.full(len(bootstraps), n)
+    levels = []  # (tree, feature, threshold, prob) of each level's nodes
+    for depth in range(params.max_depth + 1):
+        start = np.cumsum(m) - m
+        pos = np.add.reduceat(labels[rows], start)
+        feature = np.full(len(m), -1, dtype=np.int64)
+        threshold = np.zeros(len(m))
+        levels.append((tree, feature, threshold, pos / m))
+        if depth == params.max_depth:
+            break
+        cand = np.flatnonzero((m >= params.min_samples_split) & (pos > 0) & (pos < m))
+        feats = np.sort(np.array([
+            np.random.default_rng([*node_keys[tree[c]], heap[c]]).choice(d, size=nf, replace=False)
+            for c in cand
+        ], dtype=np.int64).reshape(len(cand), nf), axis=1)
+        cost = np.cumsum(m[cand]) * nf
+        lo = 0
+        while lo < len(cand):
+            spent = cost[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(cost, spent + _CHUNK_ELEMENTS, side="right")))
+            c = cand[lo:hi]
+            feature[c], threshold[c] = _score_nodes(x, labels, ranks, rows, start[c], m[c], pos[c],
+                                                    feats[lo:hi], params.min_samples_leaf)
+            lo = hi
+        split = np.flatnonzero(feature >= 0)
+        if not split.size:
+            break
+        seg, within = _ranges(m[split])
+        node_rows = rows[start[split][seg] + within]
+        goes_left = x[node_rows, feature[split][seg]] <= threshold[split][seg]
+        rows = node_rows[np.argsort(2 * seg + ~goes_left, kind="stable")]
+        n_left = np.bincount(seg[goes_left], minlength=split.size)
+        m = np.column_stack([n_left, m[split] - n_left]).ravel()
+        tree = np.repeat(tree[split], 2)
+        heap = np.column_stack([2 * heap[split], 2 * heap[split] + 1]).ravel()
+    return _preorder_trees(levels)
 
-    def leaf(node_rows: np.ndarray) -> int:
-        idx = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        prob.append(float(y[node_rows].mean()))
-        return idx
 
-    def build(node_rows: np.ndarray, depth: int, heap_id: int) -> int:
-        m = node_rows.shape[0]
-        pos = float(y[node_rows].sum())
-        if depth >= params.max_depth or m < params.min_samples_split or pos == 0.0 or pos == m:
-            return leaf(node_rows)
-        node_rng = np.random.default_rng([*node_key, heap_id])
-        feats = np.sort(node_rng.choice(d, size=nf, replace=False))
-        split = _best_split(x, y, node_rows, feats, params.min_samples_leaf)
-        if split is None:
-            return leaf(node_rows)
-        feat, thr = split
-        mask = x[node_rows, feat] <= thr
-        idx = len(feature)
-        feature.append(feat)
-        threshold.append(thr)
-        left.append(-1)
-        right.append(-1)
-        prob.append(float(y[node_rows].mean()))
-        left_idx = build(node_rows[mask], depth + 1, 2 * heap_id)
-        right_idx = build(node_rows[~mask], depth + 1, 2 * heap_id + 1)
-        left[idx] = left_idx
-        right[idx] = right_idx
-        return idx
+def _preorder_trees(levels: list[tuple[np.ndarray, ...]]) -> list[_Tree]:
+    """Trees from their nodes level by level, renumbered into depth-first preorder.
 
-    build(rows, 0, 1)
-    return _Tree(
-        np.array(feature, dtype=np.int64),
-        np.array(threshold, dtype=float),
-        np.array(left, dtype=np.int64),
-        np.array(right, dtype=np.int64),
-        np.array(prob, dtype=float),
-    )
+    levels[k] is (tree, feature, threshold, prob) of the nodes at depth k;
+    the nodes of level k + 1 are the (left, right) children of the split
+    nodes (feature >= 0) of level k, in order. Subtree sizes are summed
+    bottom-up, then ids are given top-down: a left child follows its parent,
+    a right child follows the parent's left subtree.
+    """
+    sizes = [np.ones(len(levels[-1][0]), dtype=np.int64)]
+    for _, feature, _, _ in reversed(levels[:-1]):
+        size = np.ones(len(feature), dtype=np.int64)
+        below = sizes[-1]
+        size[feature >= 0] += below[0::2] + below[1::2]
+        sizes.append(size)
+    sizes.reverse()
+    pre = np.zeros(len(levels[0][0]), dtype=np.int64)
+    parts = []
+    for level, (tree, feature, threshold, prob) in enumerate(levels):
+        split = feature >= 0
+        left = np.full(len(feature), -1, dtype=np.int64)
+        right = left.copy()
+        left[split] = pre[split] + 1
+        if split.any():
+            right[split] = left[split] + sizes[level + 1][0::2]
+        parts.append((tree, pre, feature, threshold, left, right, prob))
+        pre = np.column_stack([left[split], right[split]]).ravel()
+
+    counts = sizes[0]
+    offset = np.cumsum(counts) - counts
+    cols = [np.concatenate(col) for col in zip(*parts)]
+    dest = offset[cols[0]] + cols[1]
+    out = []
+    for col in cols[2:]:
+        arr = np.empty_like(col)
+        arr[dest] = col
+        out.append(np.split(arr, np.cumsum(counts)[:-1]))
+    return [_Tree(*arrays) for arrays in zip(*out)]
 
 
 def train_forest(
@@ -370,22 +454,22 @@ def train_forest(
 ) -> ForestModel:
     """Random forest of Gini trees on bootstrap resamples, deterministic in seed.
 
-    Each tree runs off its own spawned seed (bootstrap rows from its stream,
-    node features from generators keyed by it), so trees could be built in
-    parallel and still reproduce the sequential result bit for bit.
+    Each tree runs off its own spawned seed: bootstrap rows from its stream,
+    node features from generators keyed by it. All trees are grown together,
+    one level at a time (`_grow_forest`).
     """
     x, y = _check_design(x, y)
-    if len(np.unique(y)) < 2:
+    classes = np.unique(y)
+    if len(classes) < 2:
         raise ValueError("random forest needs both classes present")
+    if classes.tolist() != [0.0, 1.0]:
+        raise ValueError(f"random forest labels must be 0 or 1, got {classes.tolist()}")
     n, d = x.shape
-    nf = math.ceil(math.sqrt(d))
     seeds = np.random.SeedSequence(seed).spawn(params.n_trees)
-    trees = []
-    for tree_seed in seeds:
-        rows = np.random.default_rng(tree_seed).integers(0, n, size=n)
-        node_key = [int(v) for v in tree_seed.generate_state(2)]
-        trees.append(_grow_tree(x, y, rows, params, nf, node_key))
-    return ForestModel(trees, params, seed, d)
+    bootstraps = [np.random.default_rng(tree_seed).integers(0, n, size=n) for tree_seed in seeds]
+    node_keys = [[int(v) for v in tree_seed.generate_state(2)] for tree_seed in seeds]
+    return ForestModel(_grow_forest(x, y.astype(np.int64), params, bootstraps, node_keys),
+                       params, seed, d)
 
 
 def _tree_predict(tree: _Tree, x: np.ndarray, depths: np.ndarray) -> np.ndarray:

@@ -135,6 +135,10 @@ def test_manifest_lines_cover_stages(pipeline_run):
     out, _ = pipeline_run
     stages = [json.loads(line)["stage"] for line in (out / "manifest.jsonl").read_text().splitlines()]
     assert stages == ["generate", "label", "featurize", "train", "evaluate", "screen", "timing"]
+    for line in (out / "manifest.jsonl").read_text().splitlines():
+        fields = json.loads(line)
+        for key in ("wall_s", "peak_rss_mb"):
+            assert isinstance(fields[key], float) and fields[key] >= 0.0
 
 
 def test_manifest_inputs_are_the_files_each_stage_reads(pipeline_run):
@@ -295,6 +299,22 @@ def test_labels_of_a_smaller_cohort_name_the_student_and_label(tmp_path, capsys,
     capsys.readouterr()
     assert run([stage, *args]) == 1
     assert capsys.readouterr().err == f"error: {stage}: labels.csv has no row for student S000201; rerun 'label'\n"
+
+
+@pytest.mark.parametrize("stage", ["featurize", "timing"])
+def test_labels_of_another_cohort_of_the_same_size_are_refused(tmp_path, capsys, stage):
+    # the same student ids, so only the manifest's cohort hashes tell the cohorts apart
+    out, data = tmp_path / "out", tmp_path / "data"
+    for seed, stages in ((77, ["generate", "label"]), (78, ["generate"])):
+        args = ["--config", write_config(tmp_path, synth={"n_students": 200, "seed": seed}),
+                "--data", data, "--out", out]
+        for sub in stages:
+            assert run([sub, *args]) == 0
+    capsys.readouterr()
+    assert run([stage, *args]) == 1
+    assert capsys.readouterr().err == f"error: {stage}: labels.csv was made from another cohort; rerun 'label'\n"
+    assert run(["label", *args]) == 0
+    assert run([stage, *args]) == 0
 
 
 def test_features_of_other_labels_name_the_student_and_featurize(tmp_path, capsys):

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attrition.config import RunConfig
@@ -14,6 +15,7 @@ from attrition.models import (
     ForestModel,
     ForestParams,
     SchemaMismatchError,
+    _Tree,
     check_schema,
     fit_knn,
     forest_predict,
@@ -535,6 +537,206 @@ def test_forest_depths_must_lie_within_the_model():
     for depths in ([0, 2], [1, 3], [-1]):
         with pytest.raises(ValueError, match="every depth must be a positive integer at most 2"):
             forest_predict(model, x, depths=depths)
+
+
+# The recursive grower the level-wise one replaced, kept as its oracle: one
+# node at a time in depth-first preorder, each scored by its own argsort.
+
+
+def _best_split(
+    x: np.ndarray, y: np.ndarray, rows: np.ndarray, feats: np.ndarray, min_leaf: int
+) -> tuple[int, float] | None:
+    """Exact best Gini split over candidate features; ties go to the lowest
+    feature index, then the lowest threshold."""
+    m = rows.shape[0]
+    cols = x[np.ix_(rows, feats)]
+    order = np.argsort(cols, axis=0, kind="stable")
+    svals = np.take_along_axis(cols, order, axis=0)
+    sy = y[rows][order]
+
+    pos_total = float(y[rows].sum())
+    left_pos = np.cumsum(sy, axis=0)[:-1]
+    left_cnt = np.arange(1, m, dtype=float)[:, None]
+    right_pos = pos_total - left_pos
+    right_cnt = m - left_cnt
+
+    valid = svals[1:] > svals[:-1]
+    if min_leaf > 1:
+        valid &= (left_cnt >= min_leaf) & (right_cnt >= min_leaf)
+    if not valid.any():
+        return None
+
+    pl = left_pos / left_cnt
+    pr = right_pos / right_cnt
+    gini_left = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
+    gini_right = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
+    weighted = (left_cnt * gini_left + right_cnt * gini_right) / m
+    weighted = np.where(valid, weighted, np.inf)
+
+    best = float(weighted.min())
+    if not math.isfinite(best):
+        return None
+    positions = np.argwhere(weighted == best)
+    choice: tuple[int, float] | None = None
+    for pos, col in positions:
+        feat = int(feats[col])
+        lo, hi = float(svals[pos, col]), float(svals[pos + 1, col])
+        thr = (lo + hi) / 2.0
+        if thr >= hi:  # midpoint rounded up between adjacent floats
+            thr = lo
+        if choice is None or (feat, thr) < choice:
+            choice = (feat, thr)
+    return choice
+
+
+def _grow_tree(
+    x: np.ndarray, y: np.ndarray, rows: np.ndarray, params: ForestParams,
+    nf: int, node_key: list[int],
+) -> _Tree:
+    """Grow one tree on the bootstrap `rows`, nodes in depth-first preorder.
+
+    Node h (root 1, children 2h and 2h + 1) draws its features from a
+    generator keyed by (node_key, h), so no split depends on max_depth: the
+    tree grown to depth d is this tree cut off at d (`forest_predict(depths=)`).
+    """
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    prob: list[float] = []
+    d = x.shape[1]
+
+    def leaf(node_rows: np.ndarray) -> int:
+        idx = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        prob.append(float(y[node_rows].mean()))
+        return idx
+
+    def build(node_rows: np.ndarray, depth: int, heap_id: int) -> int:
+        m = node_rows.shape[0]
+        pos = float(y[node_rows].sum())
+        if depth >= params.max_depth or m < params.min_samples_split or pos == 0.0 or pos == m:
+            return leaf(node_rows)
+        node_rng = np.random.default_rng([*node_key, heap_id])
+        feats = np.sort(node_rng.choice(d, size=nf, replace=False))
+        split = _best_split(x, y, node_rows, feats, params.min_samples_leaf)
+        if split is None:
+            return leaf(node_rows)
+        feat, thr = split
+        mask = x[node_rows, feat] <= thr
+        idx = len(feature)
+        feature.append(feat)
+        threshold.append(thr)
+        left.append(-1)
+        right.append(-1)
+        prob.append(float(y[node_rows].mean()))
+        left_idx = build(node_rows[mask], depth + 1, 2 * heap_id)
+        right_idx = build(node_rows[~mask], depth + 1, 2 * heap_id + 1)
+        left[idx] = left_idx
+        right[idx] = right_idx
+        return idx
+
+    build(rows, 0, 1)
+    return _Tree(
+        np.array(feature, dtype=np.int64),
+        np.array(threshold, dtype=float),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.array(prob, dtype=float),
+    )
+
+
+def reference_forest(x: np.ndarray, y: np.ndarray, params: ForestParams, seed: int) -> ForestModel:
+    """`train_forest` by the recursive grower: same seeds, bootstraps and draws."""
+    n, d = x.shape
+    nf = math.ceil(math.sqrt(d))
+    seeds = np.random.SeedSequence(seed).spawn(params.n_trees)
+    trees = []
+    for tree_seed in seeds:
+        rows = np.random.default_rng(tree_seed).integers(0, n, size=n)
+        node_key = [int(v) for v in tree_seed.generate_state(2)]
+        trees.append(_grow_tree(x, y, rows, params, nf, node_key))
+    return ForestModel(trees, params, seed, d)
+
+
+def assert_same_forest(x, y, params, seed):
+    grown = model_to_dict(train_forest(x, y, params, seed))
+    assert grown == model_to_dict(reference_forest(x, y, params, seed))
+    return grown
+
+
+@pytest.mark.parametrize("min_split,min_leaf", [(2, 1), (5, 1), (2, 3), (10, 4)])
+def test_level_wise_forest_equals_recursive_reference(default_train_matrix, min_split, min_leaf):
+    x, y = default_train_matrix
+    for depth in (1, 2, 3, 8, 16):
+        params = ForestParams(n_trees=8, max_depth=depth, min_samples_split=min_split,
+                              min_samples_leaf=min_leaf)
+        grown = assert_same_forest(x, y, params, seed=201 + depth)
+        if depth > 1:
+            assert any(len(t["feature"]) > 3 for t in grown["trees"])
+
+
+@given(
+    st.integers(10, 60).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(0, 2), min_size=4, max_size=4), min_size=n, max_size=n),
+        st.lists(st.integers(0, 99), min_size=n, max_size=n),
+    )),
+    st.integers(5, 50),
+    st.integers(2, 10),
+    st.integers(1, 5),
+    st.integers(1, 8),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_level_wise_forest_equals_reference_on_tie_heavy_data(
+    data, base_rate, min_split, min_leaf, depth, seed
+):
+    values, draws = data
+    x = np.array(values, dtype=float)
+    # a duplicated column, a constant one, and one of adjacent floats, whose
+    # midpoints round up to the upper value
+    x = np.column_stack([x, x[:, 1], np.full(len(x), 1.0), 1.0 + x[:, 2] * np.finfo(float).eps])
+    y = (np.array(draws) < base_rate).astype(float)
+    y[0], y[1] = 0.0, 1.0  # both classes; the rest skew with base_rate
+    params = ForestParams(n_trees=3, max_depth=depth, min_samples_split=min_split,
+                          min_samples_leaf=min_leaf)
+    assert_same_forest(x, y, params, seed)
+
+
+def test_level_wise_forest_equals_reference_past_depth_63():
+    # alternating labels peel off a few rows per split, so this tree grows
+    # 92 levels deep and its heap node ids pass 2**63
+    x = np.column_stack([np.arange(1500), np.arange(1500)[::-1]]).astype(float)
+    y = (np.arange(1500) % 2).astype(float)
+    grown = assert_same_forest(x, y, ForestParams(n_trees=1, max_depth=100), seed=1)
+    tree = grown["trees"][0]
+    depth = [0] * len(tree["feature"])
+    for node, (left, right) in enumerate(zip(tree["left"], tree["right"])):
+        if left >= 0:
+            depth[left] = depth[right] = depth[node] + 1
+    assert max(depth) > 63
+
+
+def test_forest_growth_memory_stays_bounded(default_train_matrix):
+    # scoring a level in bounded chunks keeps this near 2-3 MB; scoring
+    # every open node of 50 trees at once takes ~30 MB
+    x, y = default_train_matrix
+    tracemalloc.start()
+    try:
+        train_forest(x, y, ForestParams(n_trees=50, max_depth=16), seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_forest_labels_must_be_zero_or_one():
+    x = np.arange(6.0)[:, None]
+    with pytest.raises(ValueError, match=r"labels must be 0 or 1, got \[0.0, 2.0\]"):
+        train_forest(x, np.array([0.0, 2.0] * 3), ForestParams(n_trees=2), seed=0)
 
 
 # ---------------------------------------------------------------------------
