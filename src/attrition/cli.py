@@ -5,10 +5,11 @@ pipeline. Each stage reads its inputs from files, writes its artifacts plus
 a manifest line (the hashes of exactly the files it read, seeds, version,
 wall time and peak RSS), and fails with a one-line error naming the
 prerequisite subcommand when an input is missing, or the stage to rerun when
-an input lacks a student that another input has or labels.csv was made from
-other cohort files than the ones on disk. The resolved configuration is
-always echoed to the output directory, and two runs with identical
-configuration produce byte-identical reports.
+an input lacks a student that another input has, or is a stale artifact: one
+whose producer's inputs, by the last manifest line listing it, no longer hash
+as they did (the registrar CSVs are source data, never stale). The resolved
+configuration is always echoed to the output directory, and two runs with
+identical configuration produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -74,12 +75,13 @@ def _sha256(path: Path) -> str:
 
 
 class _Run:
-    """One stage run: its name, its config, the input files it reads in reading order, its start."""
+    """One stage run: its name, its config, the input files it reads in reading order, each
+    with the stage that writes it, and its start."""
 
     def __init__(self, stage: str, cfg: RunConfig):
         self.stage = stage
         self.cfg = cfg
-        self.inputs: list[Path] = []
+        self.inputs: dict[Path, str] = {}
         self.started = time.perf_counter()
         self._digests: dict[Path, str] = {}
 
@@ -87,14 +89,40 @@ class _Run:
         """`path`, recorded as an input; a missing file names the stage that writes it."""
         if not path.exists():
             raise StageError(self.stage, f"missing input {path}; run '{prerequisite}' first")
-        self.inputs.append(path)
+        self.inputs[path] = prerequisite
         return path
 
     def digest(self, path: Path) -> str:
-        """sha256 of an input, computed once per run."""
+        """sha256 of a file, computed once per run."""
         if path not in self._digests:
             self._digests[path] = _sha256(path)
         return self._digests[path]
+
+    def check_fresh(self) -> None:
+        """Stop unless every input so far is fresh: the last manifest line listing it among its
+        outputs exists, and the files that line read still hash as they did. The registrar
+        CSVs are source data and never stale: real cohorts arrive with no `generate` line."""
+        out = Path(self.cfg.out_dir)
+        source = {p.name: p for p in cohort_paths(self.cfg.data_dir).values()}
+        manifest = out / "manifest.jsonl"
+        made: dict[str, dict] = {}
+        lines = manifest.read_text(encoding="utf-8").splitlines() if manifest.exists() else []
+        for n, text in enumerate(lines, 1):
+            try:
+                line = json.loads(text)
+                made.update((name, dict(line["inputs"])) for name in line["outputs"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise StageError(self.stage, f"{manifest}:{n}: damaged manifest line ({exc!r})") from exc
+        for path, producer in self.inputs.items():
+            if producer == "generate":
+                continue
+            if path.name not in made:
+                raise StageError(self.stage, f"{path.name} has no line in manifest.jsonl; rerun '{producer}'")
+            changed = [name for name, digest in made[path.name].items()
+                       if not (p := source.get(name, out / name)).exists() or self.digest(p) != digest]
+            if changed:
+                raise StageError(self.stage,
+                                 f"{path.name} was made from other {', '.join(changed)}; rerun '{producer}'")
 
     def manifest(self, outputs: list[Path]) -> None:
         """Append the stage's manifest line: hashes of its inputs, its outputs, the seeds,
@@ -118,28 +146,10 @@ class _Run:
             fh.write(json.dumps(line, sort_keys=True) + "\n")
 
 
-_COHORT_KEYS = ("students", "transcripts", "degrees")
-
-
 def _load_cohort(run: _Run):
     paths = cohort_paths(run.cfg.data_dir)
-    return load_students(*(run.require(paths[key], "generate") for key in _COHORT_KEYS))
-
-
-def _check_label_cohort(run: _Run) -> None:
-    """The cohort files hash as they did when the last `label` run read them.
-
-    A cohort of the same students regenerated with another seed passes the id
-    join, so the manifest is the only witness that labels.csv is stale. With
-    no `label` line in the manifest, labels.csv counts as stale too.
-    """
-    paths = cohort_paths(run.cfg.data_dir)
-    current = {paths[key].name: run.digest(paths[key]) for key in _COHORT_KEYS}
-    manifest = Path(run.cfg.out_dir) / "manifest.jsonl"
-    lines = manifest.read_text(encoding="utf-8").splitlines() if manifest.exists() else []
-    labeled = [line["inputs"] for line in map(json.loads, lines) if line.get("stage") == "label"]
-    if not labeled or any(labeled[-1].get(name) != digest for name, digest in current.items()):
-        raise StageError(run.stage, "labels.csv was made from another cohort; rerun 'label'")
+    cohort = (paths[key] for key in ("students", "transcripts", "degrees"))
+    return load_students(*(run.require(path, "generate") for path in cohort))
 
 
 class _Rows(dict):
@@ -231,7 +241,7 @@ def stage_featurize(cfg: RunConfig) -> list[Path]:
     records = _load_cohort(run)
     labels = _read_labels(run, "label")
     ds = LabeledDataset(tuple((r, labels[r.student_id]) for r in records))
-    _check_label_cohort(run)
+    run.check_fresh()
     balanced = balance(ds, cfg.sampling_seed)
     train, test = split(balanced, cfg.test_fraction, cfg.split_seed)
     schema = fit_schema(train, cfg.feature_config())
@@ -264,6 +274,7 @@ def stage_featurize(cfg: RunConfig) -> list[Path]:
 def stage_train(cfg: RunConfig) -> list[Path]:
     run = _Run("train", cfg)
     ids, x_raw, x_std, y, is_train, meta = _matrices(run)
+    run.check_fresh()
     x_tr_std, x_tr_raw, y_tr = x_std[is_train], x_raw[is_train], y[is_train]
     schema_hash = meta["hash"]
     out_dir = Path(cfg.out_dir)
@@ -309,6 +320,7 @@ def stage_evaluate(cfg: RunConfig) -> list[Path]:
     models = {}
     for name, filename in MODEL_FILES.items():
         models[name] = load_model(run.require(out_dir / filename, "train"))
+    run.check_fresh()
 
     report_models: dict[str, ModelEval] = {}
     outputs = []
@@ -339,6 +351,7 @@ def stage_evaluate(cfg: RunConfig) -> list[Path]:
 def stage_screen(cfg: RunConfig) -> list[Path]:
     run = _Run("screen", cfg)
     ids, x_raw, x_std, y, is_train, meta = _matrices(run)
+    run.check_fresh()
     rows = screen_features(
         meta["feature_names"],
         x_std[is_train], y[is_train],
@@ -357,7 +370,7 @@ def stage_timing(cfg: RunConfig) -> list[Path]:
     ncs = LabeledDataset(
         tuple((r, labels[r.student_id]) for r in records if not labels[r.student_id].graduated)
     )
-    _check_label_cohort(run)
+    run.check_fresh()
     report = timing_experiment(
         ncs, cfg.timing_lambda_grid, cfg.split_seed,
         feature_config=cfg.feature_config(), folds=cfg.cv_folds,
@@ -371,9 +384,11 @@ def stage_timing(cfg: RunConfig) -> list[Path]:
 
 def stage_pipeline(cfg: RunConfig) -> list[Path]:
     written: list[Path] = []
-    for stage in (stage_generate, stage_label, stage_featurize, stage_train,
-                  stage_evaluate, stage_screen, stage_timing):
-        written.extend(stage(cfg))
+    for name in SUBCOMMANDS[:-1]:
+        try:
+            written.extend(STAGES[name](cfg))
+        except (ValueError, OSError) as exc:  # name the stage, as a StageError does
+            raise StageError(name, str(exc)) from exc
     return written
 
 

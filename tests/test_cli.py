@@ -201,11 +201,16 @@ def test_schema_hash_mismatch_refused(tmp_path, capsys):
     # refit features under a different sampling seed: schema stats change
     config2 = write_config(tmp_path, sampling_seed=999)
     assert run(["featurize", "--config", config2, "--data", data, "--out", out]) == 0
+    capsys.readouterr()
     code = run(["evaluate", "--config", config2, "--data", data, "--out", out])
     captured = capsys.readouterr()
     assert code == 1
-    assert "schema" in captured.err.lower()
-    assert "rerun 'train'" in captured.err
+    assert captured.err == (
+        "error: evaluate: model_logistic_regression.json was made from other features.csv, schema.json, "
+        "split.csv; rerun 'train'\n"
+    )
+    assert run(["train", "--config", config2, "--data", data, "--out", out]) == 0
+    assert run(["evaluate", "--config", config2, "--data", data, "--out", out]) == 0
 
 
 def test_seed_flag_overrides_all_seeds(tmp_path):
@@ -293,6 +298,11 @@ def run_stages(tmp_path, *steps):
     return ["--config", config, "--data", data, "--out", out]
 
 
+def cohort_args(tmp_path, seed, out="out"):
+    config = write_config(tmp_path, synth={"n_students": 200, "seed": seed})
+    return ["--config", config, "--data", tmp_path / "data", "--out", tmp_path / out]
+
+
 @pytest.mark.parametrize("stage", ["featurize", "timing"])
 def test_labels_of_a_smaller_cohort_name_the_student_and_label(tmp_path, capsys, stage):
     args = run_stages(tmp_path, (200, ["generate", "label"]), (250, ["generate"]))
@@ -304,15 +314,15 @@ def test_labels_of_a_smaller_cohort_name_the_student_and_label(tmp_path, capsys,
 @pytest.mark.parametrize("stage", ["featurize", "timing"])
 def test_labels_of_another_cohort_of_the_same_size_are_refused(tmp_path, capsys, stage):
     # the same student ids, so only the manifest's cohort hashes tell the cohorts apart
-    out, data = tmp_path / "out", tmp_path / "data"
     for seed, stages in ((77, ["generate", "label"]), (78, ["generate"])):
-        args = ["--config", write_config(tmp_path, synth={"n_students": 200, "seed": seed}),
-                "--data", data, "--out", out]
+        args = cohort_args(tmp_path, seed)
         for sub in stages:
             assert run([sub, *args]) == 0
     capsys.readouterr()
     assert run([stage, *args]) == 1
-    assert capsys.readouterr().err == f"error: {stage}: labels.csv was made from another cohort; rerun 'label'\n"
+    assert capsys.readouterr().err == (
+        f"error: {stage}: labels.csv was made from other degrees.csv, students.csv, transcripts.csv; rerun 'label'\n"
+    )
     assert run(["label", *args]) == 0
     assert run([stage, *args]) == 0
 
@@ -350,3 +360,71 @@ def test_label_reads_the_generator_degree_credits(tmp_path):
     transfer = [records[sid].entry.transfer_credits for sid, *_ in rows]
     assert [int(row[3]) for row in rows] == [window_allowance(t, 90) for t in transfer]
     assert [window_allowance(t, 90) for t in transfer] != [window_allowance(t) for t in transfer]
+
+
+def test_features_of_another_cohort_of_the_same_size_are_refused(tmp_path, capsys):
+    # cohort 78 has cohort 77's student ids, so every id join passes
+    for seed, stages in ((77, ["generate", "label", "featurize", "train"]), (78, ["generate", "label"])):
+        args = cohort_args(tmp_path, seed)
+        for sub in stages:
+            assert run([sub, *args]) == 0
+    capsys.readouterr()
+    for stage in ("train", "evaluate", "screen"):
+        assert run([stage, *args]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {stage}: features.csv was made from other degrees.csv, labels.csv, students.csv, "
+            "transcripts.csv; rerun 'featurize'\n"
+        )
+
+
+def test_an_artifact_with_no_manifest_line_is_refused(tmp_path, capsys):
+    args = cohort_args(tmp_path, 77)
+    for sub in ("generate", "label", "featurize"):
+        assert run([sub, *args]) == 0
+    (tmp_path / "out" / "manifest.jsonl").unlink()
+    capsys.readouterr()
+    assert run(["train", *args]) == 1
+    assert capsys.readouterr().err == "error: train: features.csv has no line in manifest.jsonl; rerun 'featurize'\n"
+
+
+def test_a_cohort_with_no_generate_line_is_source_data(tmp_path):
+    # a registrar cohort arrives with no generate line in the output manifest
+    assert run(["generate", *cohort_args(tmp_path, 77, out="elsewhere")]) == 0
+    args = cohort_args(tmp_path, 77)
+    for sub in ("label", "featurize", "train"):
+        assert run([sub, *args]) == 0
+    stages = [json.loads(line)["stage"] for line in (tmp_path / "out" / "manifest.jsonl").read_text().splitlines()]
+    assert stages == ["label", "featurize", "train"]
+
+
+@pytest.mark.parametrize(
+    "damage, reason",
+    [
+        (lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "inputs"}), "KeyError"),
+        (lambda line: line[: len(line) // 2], "JSONDecodeError"),
+    ],
+    ids=["no-inputs", "truncated"],
+)
+def test_a_damaged_manifest_line_names_the_manifest_and_line(tmp_path, capsys, damage, reason):
+    args = cohort_args(tmp_path, 77)
+    for sub in ("generate", "label"):
+        assert run([sub, *args]) == 0
+    manifest = tmp_path / "out" / "manifest.jsonl"
+    generated, labeled = manifest.read_text().splitlines()
+    manifest.write_text(f"{generated}\n{damage(labeled)}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["featurize", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: featurize: {manifest}:2: damaged manifest line ({reason}(")
+    assert len(err.splitlines()) == 1
+
+
+def test_pipeline_errors_name_the_failing_stage(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("attrition.cli.screen_features", boom)
+    config = write_config(tmp_path)
+    code = run(["pipeline", "--config", config, "--data", tmp_path / "data", "--out", tmp_path / "out"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: screen: boom\n"
