@@ -2,14 +2,15 @@
 
 Subcommands: generate, label, featurize, train, evaluate, screen, timing,
 pipeline. Each stage reads its inputs from files, writes its artifacts plus
-a manifest line (the hashes of exactly the files it read, seeds, version,
-wall time and peak RSS), and fails with a one-line error naming the
+a manifest line (the hashes of exactly the files it read and wrote, seeds,
+version, wall time and peak RSS), and fails with a one-line error naming the
 prerequisite subcommand when an input is missing, or the stage to rerun when
 an input lacks a student that another input has, or is a stale artifact: one
-whose producer's inputs, by the last manifest line listing it, no longer hash
-as they did (the registrar CSVs are source data, never stale). The resolved
-configuration is always echoed to the output directory, and two runs with
-identical configuration produce byte-identical reports.
+whose own bytes, or whose producer's inputs, by the last manifest line
+listing it, no longer hash as they did (the registrar CSVs are source data,
+never stale). The resolved configuration is always echoed to the output
+directory, and two runs with identical configuration produce byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .features import encode_dataset, fit_schema, standardize
 from .io import load_students, read_csv, read_json, write_csv, write_json
 from .labeling import LabeledDataset, OutcomeLabel, balance, label_all
 from .models import (
-    check_schema,
     fit_knn,
     load_model,
     predict_scores,
@@ -100,39 +100,43 @@ class _Run:
 
     def check_fresh(self) -> None:
         """Stop unless every input so far is fresh: the last manifest line listing it among its
-        outputs exists, and the files that line read still hash as they did. The registrar
-        CSVs are source data and never stale: real cohorts arrive with no `generate` line."""
+        outputs exists, and the input itself and the files that line read still hash as they
+        did. The registrar CSVs are source data and never stale: real cohorts arrive with no
+        `generate` line."""
         out = Path(self.cfg.out_dir)
         source = {p.name: p for p in cohort_paths(self.cfg.data_dir).values()}
         manifest = out / "manifest.jsonl"
-        made: dict[str, dict] = {}
+        made: dict[str, tuple[str, dict]] = {}
         lines = manifest.read_text(encoding="utf-8").splitlines() if manifest.exists() else []
         for n, text in enumerate(lines, 1):
             try:
                 line = json.loads(text)
-                made.update((name, dict(line["inputs"])) for name in line["outputs"])
-            except (ValueError, KeyError, TypeError) as exc:
+                made.update((name, (digest, dict(line["inputs"]))) for name, digest in line["outputs"].items())
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise StageError(self.stage, f"{manifest}:{n}: damaged manifest line ({exc!r})") from exc
         for path, producer in self.inputs.items():
             if producer == "generate":
                 continue
             if path.name not in made:
                 raise StageError(self.stage, f"{path.name} has no line in manifest.jsonl; rerun '{producer}'")
-            changed = [name for name, digest in made[path.name].items()
+            written, read = made[path.name]
+            if self.digest(path) != written:
+                raise StageError(self.stage, f"{path.name} was changed after '{producer}' wrote it; rerun '{producer}'")
+            changed = [name for name, digest in read.items()
                        if not (p := source.get(name, out / name)).exists() or self.digest(p) != digest]
             if changed:
                 raise StageError(self.stage,
                                  f"{path.name} was made from other {', '.join(changed)}; rerun '{producer}'")
 
     def manifest(self, outputs: list[Path]) -> None:
-        """Append the stage's manifest line: hashes of its inputs, its outputs, the seeds,
-        its wall time so far and the process's peak RSS so far."""
+        """Append the stage's manifest line: hashes of its inputs and of its outputs, the
+        seeds, its wall time so far and the process's peak RSS so far."""
         cfg = self.cfg
         line = {
             "stage": self.stage,
             "version": __version__,
             "inputs": {p.name: self.digest(p) for p in self.inputs},
-            "outputs": [p.name for p in outputs],
+            "outputs": {p.name: self.digest(p) for p in outputs},
             "seeds": {
                 "split": cfg.split_seed,
                 "cv": cfg.cv_seed,
@@ -276,25 +280,21 @@ def stage_train(cfg: RunConfig) -> list[Path]:
     ids, x_raw, x_std, y, is_train, meta = _matrices(run)
     run.check_fresh()
     x_tr_std, x_tr_raw, y_tr = x_std[is_train], x_raw[is_train], y[is_train]
-    schema_hash = meta["hash"]
     out_dir = Path(cfg.out_dir)
 
     lam, lr_means = cv_tune(x_tr_std, y_tr, "logistic_regression", cfg.lr_lambda_grid,
                             folds=cfg.cv_folds, seed=cfg.cv_seed)
     lr = train_logistic(x_tr_std, y_tr, lam)
-    lr.schema_hash = schema_hash
 
     fold_train_size = (len(y_tr) * (cfg.cv_folds - 1)) // cfg.cv_folds
     k_grid = [k for k in cfg.knn_k_grid if k <= fold_train_size] or [1]
     k, knn_means = cv_tune(x_tr_std, y_tr, "knn", k_grid, folds=cfg.cv_folds, seed=cfg.cv_seed)
     knn = fit_knn(x_tr_std, y_tr, k)
-    knn.schema_hash = schema_hash
 
     depth, forest_means = cv_tune(x_tr_raw, y_tr, "random_forest", cfg.forest_depth_grid,
                                   folds=cfg.cv_folds, seed=cfg.cv_seed,
                                   forest_params=cfg.forest_params(max(cfg.forest_depth_grid)))
     forest = train_forest(x_tr_raw, y_tr, cfg.forest_params(depth), cfg.cv_seed)
-    forest.schema_hash = schema_hash
 
     outputs = []
     for name, model in (("logistic_regression", lr), ("random_forest", forest), ("knn", knn)):
@@ -325,7 +325,6 @@ def stage_evaluate(cfg: RunConfig) -> list[Path]:
     report_models: dict[str, ModelEval] = {}
     outputs = []
     for name, model in models.items():
-        check_schema(model, meta["hash"])
         x_te = x_te_raw if name == "random_forest" else x_te_std
         scores = np.asarray(predict_scores(model, x_te))
         points, auc = roc_and_auc(scores, y_te)

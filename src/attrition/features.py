@@ -18,8 +18,6 @@ columns are z-scored with training statistics; dummy columns are left as
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -287,24 +285,6 @@ class FeatureSchema:
         """Z-score numeric columns with training stats; dummies pass through."""
         return standardize(x, self.means, self.sds, [d.standardize for d in self.descriptors])
 
-    def _gpa_means_as(self, convert) -> dict[str, dict[str, object]]:
-        return {
-            f"{kind}_gpa_means": {k: convert(v) for k, v in sorted(means.items())}
-            for kind, means in self.gpa_means.items()
-        }
-
-    def content_hash(self) -> str:
-        payload = {
-            "features": [(d.name, d.kind, d.source, d.standardize) for d in self.descriptors],
-            "majors": list(self.major_vocab),
-            "departments": list(self.department_vocab),
-            "means": [repr(v) for v in self.means],
-            "sds": [repr(v) for v in self.sds],
-            **self._gpa_means_as(repr),
-        }
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
-
     def to_json(self, path: str | Path) -> None:
         payload = {
             "feature_names": self.feature_names,
@@ -314,10 +294,10 @@ class FeatureSchema:
             "department_vocab": list(self.department_vocab),
             "means": [float(v) for v in self.means],
             "sds": [float(v) for v in self.sds],
-            **self._gpa_means_as(float),
+            **{f"{kind}_gpa_means": {k: float(v) for k, v in sorted(means.items())}
+               for kind, means in self.gpa_means.items()},
             "global_gpa_mean": float(self.global_gpa_mean),
             "imputation_mode": self.imputer.mode,
-            "hash": self.content_hash(),
         }
         write_json(path, payload)
 

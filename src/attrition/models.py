@@ -37,10 +37,6 @@ _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
 
 
-class SchemaMismatchError(ValueError):
-    """A model was asked to predict against features from a different schema."""
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=float)
     pos = z >= 0
@@ -75,7 +71,6 @@ class LinearModel:
     task: str  # "classification" | "regression"
     n_iterations: int = 0
     loss_history: list[float] = field(default_factory=list, repr=False)
-    schema_hash: str | None = None
 
 
 def logistic_objective(
@@ -186,7 +181,6 @@ class KnnModel:
     x_train: np.ndarray
     y_train: np.ndarray
     k: int
-    schema_hash: str | None = None
 
 
 def fit_knn(x: np.ndarray, y: np.ndarray, k: int) -> KnnModel:
@@ -265,7 +259,6 @@ class ForestModel:
     params: ForestParams
     seed: int
     n_features: int
-    schema_hash: str | None = None
 
 
 # (node, candidate feature, row) elements scored at once while a level grows
@@ -540,14 +533,6 @@ def predict_scores(model: Model, x: np.ndarray) -> np.ndarray:
     return forest_predict(model, x)
 
 
-def check_schema(model: Model, schema_hash: str) -> None:
-    if model.schema_hash is not None and model.schema_hash != schema_hash:
-        raise SchemaMismatchError(
-            f"model was trained against schema {model.schema_hash[:12]}..., "
-            f"got features from schema {schema_hash[:12]}...; rerun 'train'"
-        )
-
-
 def model_to_dict(model: Model) -> dict:
     if isinstance(model, LinearModel):
         return {
@@ -555,7 +540,6 @@ def model_to_dict(model: Model) -> dict:
             "weights": [float(v) for v in model.weights],
             "intercept": float(model.intercept),
             "regularization": float(model.regularization),
-            "schema_hash": model.schema_hash,
         }
     if isinstance(model, KnnModel):
         return {
@@ -563,7 +547,6 @@ def model_to_dict(model: Model) -> dict:
             "k": int(model.k),
             "x_train": [[float(v) for v in row] for row in model.x_train],
             "y_train": [float(v) for v in model.y_train],
-            "schema_hash": model.schema_hash,
         }
     return {
         "kind": "forest",
@@ -580,7 +563,6 @@ def model_to_dict(model: Model) -> dict:
             }
             for t in model.trees
         ],
-        "schema_hash": model.schema_hash,
     }
 
 
@@ -592,14 +574,12 @@ def model_from_dict(payload: dict) -> Model:
             intercept=float(payload["intercept"]),
             regularization=float(payload["regularization"]),
             task="classification" if kind == "logistic" else "regression",
-            schema_hash=payload.get("schema_hash"),
         )
     if kind == "knn":
         return KnnModel(
             x_train=np.array(payload["x_train"], dtype=float),
             y_train=np.array(payload["y_train"], dtype=float),
             k=int(payload["k"]),
-            schema_hash=payload.get("schema_hash"),
         )
     if kind == "forest":
         trees = [
@@ -617,7 +597,6 @@ def model_from_dict(payload: dict) -> Model:
             params=ForestParams(**payload["params"]),
             seed=int(payload["seed"]),
             n_features=int(payload["n_features"]),
-            schema_hash=payload.get("schema_hash"),
         )
     raise ValueError(f"unknown model kind {kind!r}")
 

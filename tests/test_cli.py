@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import re
+import shutil
 
 import pytest
 
@@ -158,6 +160,26 @@ def test_manifest_inputs_are_the_files_each_stage_reads(pipeline_run):
     }
 
 
+def test_manifest_outputs_are_the_hashes_of_the_files_each_stage_wrote(pipeline_run):
+    out, data = pipeline_run
+    lines = [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()]
+    models = ["model_knn.json", "model_logistic_regression.json", "model_random_forest.json"]
+    assert {line["stage"]: sorted(line["outputs"]) for line in lines} == {
+        "generate": ["degrees.csv", "ground_truth.csv", "students.csv", "transcripts.csv"],
+        "label": ["labels.csv"],
+        "featurize": ["features.csv", "schema.json", "split.csv"],
+        "train": ["cv_knn.csv", "cv_logistic_regression.csv", "cv_random_forest.csv", *models],
+        "evaluate": ["report.json", "roc_knn.csv", "roc_logistic_regression.csv", "roc_random_forest.csv"],
+        "screen": ["screen.csv"],
+        "timing": ["timing.json"],
+    }
+    for line in lines:
+        where = data if line["stage"] == "generate" else out
+        assert line["outputs"] == {
+            name: hashlib.sha256((where / name).read_bytes()).hexdigest() for name in line["outputs"]
+        }
+
+
 def test_evaluate_before_train_names_prerequisite(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "out"
@@ -192,7 +214,7 @@ def test_label_before_generate_names_prerequisite(tmp_path, capsys):
     assert "generate" in captured.err
 
 
-def test_schema_hash_mismatch_refused(tmp_path, capsys):
+def test_models_of_refeaturized_features_are_refused(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "out"
     data = tmp_path / "data"
@@ -211,6 +233,24 @@ def test_schema_hash_mismatch_refused(tmp_path, capsys):
     )
     assert run(["train", "--config", config2, "--data", data, "--out", out]) == 0
     assert run(["evaluate", "--config", config2, "--data", data, "--out", out]) == 0
+
+
+def test_a_model_from_another_run_is_refused(tmp_path, capsys):
+    # two runs of one cohort at different sampling seeds fit different schemas
+    runs = {}
+    for name, sampling_seed in (("a", 1), ("b", 2)):
+        (tmp_path / name).mkdir()
+        config = write_config(tmp_path / name, sampling_seed=sampling_seed)
+        runs[name] = ["--config", config, "--data", tmp_path / "data", "--out", tmp_path / name / "out"]
+    assert run(["generate", *runs["a"]]) == 0
+    for args in runs.values():
+        for sub in ("label", "featurize", "train"):
+            assert run([sub, *args]) == 0
+    filename = "model_logistic_regression.json"
+    shutil.copyfile(tmp_path / "b" / "out" / filename, tmp_path / "a" / "out" / filename)
+    capsys.readouterr()
+    assert run(["evaluate", *runs["a"]]) == 1
+    assert capsys.readouterr().err == f"error: evaluate: {filename} was changed after 'train' wrote it; rerun 'train'\n"
 
 
 def test_seed_flag_overrides_all_seeds(tmp_path):
@@ -377,6 +417,26 @@ def test_features_of_another_cohort_of_the_same_size_are_refused(tmp_path, capsy
         )
 
 
+@pytest.mark.parametrize("stage, before", [
+    ("train", ["generate", "label", "featurize"]),
+    ("evaluate", ["generate", "label", "featurize", "train"]),
+])
+def test_an_edited_artifact_is_refused(tmp_path, capsys, stage, before):
+    args = cohort_args(tmp_path, 77)
+    for sub in before:
+        assert run([sub, *args]) == 0
+    split_csv = tmp_path / "out" / "split.csv"
+    split_csv.write_bytes(split_csv.read_bytes().replace(b",train\n", b",test\n", 1))
+    capsys.readouterr()
+    assert run([stage, *args]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {stage}: split.csv was changed after 'featurize' wrote it; rerun 'featurize'\n"
+    )
+    # featurize writes the same split again, so the models trained on it are fresh again
+    assert run(["featurize", *args]) == 0
+    assert run([stage, *args]) == 0
+
+
 def test_an_artifact_with_no_manifest_line_is_refused(tmp_path, capsys):
     args = cohort_args(tmp_path, 77)
     for sub in ("generate", "label", "featurize"):
@@ -402,8 +462,11 @@ def test_a_cohort_with_no_generate_line_is_source_data(tmp_path):
     [
         (lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "inputs"}), "KeyError"),
         (lambda line: line[: len(line) // 2], "JSONDecodeError"),
+        # the format before outputs were hashed: a list of names
+        (lambda line: json.dumps({**json.loads(line), "outputs": sorted(json.loads(line)["outputs"])}),
+         "AttributeError"),
     ],
-    ids=["no-inputs", "truncated"],
+    ids=["no-inputs", "truncated", "outputs-list"],
 )
 def test_a_damaged_manifest_line_names_the_manifest_and_line(tmp_path, capsys, damage, reason):
     args = cohort_args(tmp_path, 77)

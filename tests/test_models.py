@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from attrition.config import RunConfig
 from attrition.evaluation import split
 from attrition.features import encode_dataset, fit_schema
+from attrition.io import write_json
 from attrition.labeling import balance, label_all
 from attrition.models import (
     ForestModel,
     ForestParams,
-    SchemaMismatchError,
     _Tree,
-    check_schema,
     fit_knn,
     forest_predict,
     knn_predict,
@@ -747,13 +746,11 @@ def test_linear_model_round_trip(tmp_path):
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
     model = train_logistic(x, y, 0.2)
-    model.schema_hash = "abc123"
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
     assert np.allclose(loaded.weights, model.weights)
     assert loaded.intercept == model.intercept
-    assert loaded.schema_hash == "abc123"
     assert loaded.task == "classification"
 
 
@@ -777,13 +774,20 @@ def test_knn_round_trip(tmp_path):
     assert knn_predict(loaded, np.array([0.1, 0.9])) == knn_predict(model, np.array([0.1, 0.9]))
 
 
-def test_schema_mismatch_refused():
-    x = np.array([[0.0], [1.0]])
-    model = train_logistic(x, np.array([0.0, 1.0]), 0.1)
-    model.schema_hash = "fitted-on-this"
-    with pytest.raises(SchemaMismatchError):
-        check_schema(model, "different-schema")
-    check_schema(model, "fitted-on-this")  # no error
+def test_a_model_file_with_a_schema_hash_still_loads(tmp_path):
+    # model files written before the field was dropped carry "schema_hash"
+    x = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([0.0, 1.0, 0.0, 1.0])
+    for model in (
+        train_logistic(x, y, 0.1),
+        fit_knn(x, y, 3),
+        train_forest(x, y, ForestParams(n_trees=3, max_depth=2), seed=5),
+    ):
+        path = tmp_path / "model.json"
+        write_json(path, {**model_to_dict(model), "schema_hash": "abc123"}, indent=None)
+        loaded = load_model(path)
+        assert type(loaded) is type(model)
+        assert model_to_dict(loaded) == model_to_dict(model)
 
 
 def test_model_dict_round_trip_all_kinds():
