@@ -249,13 +249,16 @@ def stage_featurize(cfg: RunConfig) -> list[Path]:
     balanced = balance(ds, cfg.sampling_seed)
     train, test = split(balanced, cfg.test_fraction, cfg.split_seed)
     schema = fit_schema(train, cfg.feature_config())
+    ids, x_raw, _ = encode_dataset(balanced, schema, standardize=False)
+    train_ids = {s.student_id for s, _ in train.records}
+    is_train = [sid in train_ids for sid in ids]
+    schema.fit_scaling(x_raw[is_train])  # split keeps the order of the training rows
 
     out_dir = Path(cfg.out_dir)
     schema_path = out_dir / "schema.json"
     schema.to_json(schema_path)
 
     features_path = out_dir / "features.csv"
-    ids, x_raw, _ = encode_dataset(balanced, schema, standardize=False)
     write_csv(
         features_path,
         ["student_id"] + schema.feature_names,
@@ -263,11 +266,10 @@ def stage_featurize(cfg: RunConfig) -> list[Path]:
     )
 
     split_path = out_dir / "split.csv"
-    train_ids = {s.student_id for s, _ in train.records}
     write_csv(
         split_path,
         ["student_id", "partition"],
-        ([sid, "train" if sid in train_ids else "test"] for sid in ids),
+        ([sid, "train" if train else "test"] for sid, train in zip(ids, is_train)),
     )
 
     outputs = [features_path, schema_path, split_path]

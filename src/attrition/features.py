@@ -250,8 +250,8 @@ class FeatureSchema:
         self.global_gpa_mean = global_gpa_mean
         self.blocks = self._layout()
         self.descriptors = tuple(d for columns, _ in self.blocks for d in columns)
-        self.means = np.zeros(len(self.descriptors))
-        self.sds = np.ones(len(self.descriptors))
+        self.means: np.ndarray | None = None  # z-score statistics, set by `fit_scaling`
+        self.sds: np.ndarray | None = None
 
     def _layout(self) -> list:
         """The column layout: (descriptors, values) blocks in column order (see `_block`)."""
@@ -281,8 +281,15 @@ class FeatureSchema:
     def index_of(self, name: str) -> int:
         return self.feature_names.index(name)
 
+    def fit_scaling(self, x_train_raw: np.ndarray) -> None:
+        """Take the z-score statistics from the raw training rows, which callers encode anyway: once per student."""
+        self.means = x_train_raw.mean(axis=0)
+        self.sds = x_train_raw.std(axis=0)
+
     def standardize(self, x: np.ndarray) -> np.ndarray:
         """Z-score numeric columns with training stats; dummies pass through."""
+        if self.means is None:
+            raise ValueError("the schema has no z-score statistics yet; call fit_scaling first")
         return standardize(x, self.means, self.sds, [d.standardize for d in self.descriptors])
 
     def to_json(self, path: str | Path) -> None:
@@ -303,7 +310,7 @@ class FeatureSchema:
 
 
 def fit_schema(train: LabeledDataset, config: FeatureConfig | None = None) -> FeatureSchema:
-    """Fit vocabularies, imputer, GPA fallbacks, and z-score stats on training data."""
+    """Fit vocabularies, imputer and GPA fallbacks on training data; `FeatureSchema.fit_scaling` adds z-score stats."""
     cfg = config or FeatureConfig()
     if len(train.records) == 0:
         raise ValueError("cannot fit a feature schema on an empty training set")
@@ -325,13 +332,9 @@ def fit_schema(train: LabeledDataset, config: FeatureConfig | None = None) -> Fe
         gpa = department_tuple(by_dept.get(dept, ()), dept, course_range)[3]
         gpa_means[kind][key] = global_gpa if gpa is None else gpa
 
-    schema = FeatureSchema(
+    return FeatureSchema(
         cfg, major_vocab, department_vocab, fit_imputer(train, cfg.imputation_mode), gpa_means, global_gpa
     )
-    raw = np.array([encode(s, schema) for s, _ in train.records])
-    schema.means = raw.mean(axis=0)
-    schema.sds = raw.std(axis=0)
-    return schema
 
 
 def encode(student: StudentRecord, schema: FeatureSchema) -> np.ndarray:

@@ -5,12 +5,15 @@ point; floats are written as ``repr`` so they read back exactly. JSON files
 have sorted keys and end in a newline. `write_csv`/`read_csv` and
 `write_json`/`read_json` are the only code that writes or reads them.
 
-`load_students` reads the registrar inputs. It owns only the file-level
-rules: required columns, cell syntax (integer, decimal, 0/1 flag, blank as
-missing) and empty, duplicate or unknown student ids. Every domain rule (bounds,
-categories, grade-or-mark, positive credits, a non-empty transcript) is checked
-once, by the record constructors in `records`. Either kind of error is raised
-as a `DataFormatError` that names ``file:line: column``.
+`load_students` reads the registrar inputs, each file in one `csv.reader`
+pass. It owns only the file-level rules: required columns, cell syntax
+(integer, decimal, 0/1 flag, blank as missing) and empty, duplicate or
+unknown student ids. Every domain rule (bounds, categories, grade-or-mark,
+positive credits, a non-empty transcript) is checked once, by the record
+constructors in `records`; every record is built by its constructor, and
+each distinct (year, quarter) pair goes through `term_index` once. Either
+kind of error is raised as a `DataFormatError` that names
+``file:line: column``, at the first bad row.
 
 Registrar input files:
 
@@ -28,6 +31,8 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -81,57 +86,39 @@ class DataFormatError(ValueError):
 
 
 _EXPECTED = {int: "an integer", float: "a decimal number", bool: "0 or 1"}
+_FLAGS = {"0": False, "1": True}
 
 
-def _cell(row: dict[str, str], column: str, kind: type = str, optional: bool = False):
-    """The stripped cell as `kind`: str, int, float, or bool for a 0/1 flag.
-
-    A blank cell is None when `optional`; a cell that does not parse raises
-    FieldError.
-    """
-    raw = (row.get(column) or "").strip()
-    if optional and not raw:
-        return None
-    if kind is str:
-        return raw
-    if kind is bool:
-        if raw in ("0", "1"):
-            return raw == "1"
-    else:
-        try:
-            return kind(raw)
-        except ValueError:
-            pass
-    raise FieldError(column, f"expected {_EXPECTED[kind]}, got {raw!r}")
-
-
-def _known_id(row: dict[str, str], rows_by_id: dict, what: str) -> str:
-    sid = _cell(row, "student_id")
-    if sid not in rows_by_id:
-        raise FieldError("student_id", f"{what} row for unknown student_id {sid!r}")
-    return sid
-
-
-def _at(path: str | Path, line: int, build, *args):
-    """`build(*args)`, with a FieldError reported as a DataFormatError at `path`:`line`."""
+def _parse(kind: type, column: str, text: str):
+    """`text` as int or float (by the builtin), or as a 0/1 flag for `bool`; FieldError naming `column` if not."""
     try:
-        return build(*args)
-    except FieldError as exc:
-        raise DataFormatError(path, line, exc.field, str(exc)) from exc
+        return _FLAGS[text] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise FieldError(column, f"expected {_EXPECTED[kind]}, got {text!r}") from None
 
 
-def _each_row(path: str | Path, columns: Sequence[str], handle) -> None:
-    """Call `handle(line, row)` on every data row of the CSV file at `path`.
+@contextmanager
+def _table(path: str | Path, columns: Sequence[str]):
+    """The data rows of the CSV file at `path`, each as the stripped cells of `columns`.
 
-    The header must name every one of `columns`.
+    The header must name every one of `columns`; where it names one twice,
+    the last occurrence wins. Blank lines are skipped, a short row reads
+    blank in its missing cells, and the extra cells of a long row are
+    ignored, as `csv.DictReader` does. A FieldError raised in the block is
+    reported as a DataFormatError at the line of the row being read.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or [])]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
         if missing:
             raise DataFormatError(path, 1, missing[0], "missing required column")
-        for row in reader:
-            _at(path, reader.line_num, handle, reader.line_num, row)
+        position = {name: i for i, name in enumerate(header)}
+        cells, pad = itemgetter(*(position[c] for c in columns)), [""] * len(header)
+        try:
+            yield reader, (map(str.strip, cells(row + pad)) for row in reader if row)
+        except FieldError as exc:
+            raise DataFormatError(path, reader.line_num, exc.field, str(exc)) from exc
 
 
 def load_students(
@@ -148,45 +135,51 @@ def load_students(
     empty ``degree_terms``.
     """
     students: dict[str, tuple[int, Demographics, EntryInfo]] = {}
-
-    def student(line, row):
-        sid = _cell(row, "student_id")
-        if not sid:
-            raise FieldError("student_id", "empty student_id")
-        if sid in students:
-            raise FieldError("student_id", f"duplicate student_id {sid!r}")
-        demographics = Demographics(_cell(row, "race"), _cell(row, "gender"), _cell(row, "hispanic", bool),
-                                    _cell(row, "residency"), _cell(row, "birth_year", int))
-        majors = tuple(m for m in _cell(row, "first_term_majors").split(";") if m)
-        entry = EntryInfo(_cell(row, "previous_schooling"), _cell(row, "sat_score", int, optional=True),
-                          _cell(row, "act_score", int, optional=True), _cell(row, "transfer_credits", float),
-                          majors, _cell(row, "fig_member", bool))
-        students[sid] = (line, demographics, entry)
-
-    _each_row(students_file, STUDENT_COLUMNS, student)
+    with _table(students_file, STUDENT_COLUMNS) as (reader, rows):
+        for sid, race, gender, hispanic, residency, birth_year, schooling, sat, act, transfer, majors, fig in rows:
+            if not sid:
+                raise FieldError("student_id", "empty student_id")
+            if sid in students:
+                raise FieldError("student_id", f"duplicate student_id {sid!r}")
+            demographics = Demographics(race, gender, _parse(bool, "hispanic", hispanic), residency,
+                                        _parse(int, "birth_year", birth_year))
+            entry = EntryInfo(schooling, _parse(int, "sat_score", sat) if sat else None,
+                              _parse(int, "act_score", act) if act else None,
+                              _parse(float, "transfer_credits", transfer),
+                              tuple(m for m in majors.split(";") if m), _parse(bool, "fig_member", fig))
+            students[sid] = (reader.line_num, demographics, entry)
     transcripts: dict[str, list[TranscriptEntry]] = {sid: [] for sid in students}
     degrees: dict[str, list[int]] = {sid: [] for sid in students}
+    terms: dict[tuple[str, str], int] = {}
 
-    def term(row):
-        return term_index(_cell(row, "year", int), _cell(row, "quarter"))
+    def term(year: str, quarter: str) -> int:
+        """`term_index` of the texts, checked once per distinct pair."""
+        if (year, quarter) not in terms:
+            terms[year, quarter] = term_index(_parse(int, "year", year), quarter)
+        return terms[year, quarter]
 
-    def transcript(line, row):
-        sid = _known_id(row, transcripts, "transcript")
-        transcripts[sid].append(TranscriptEntry(
-            sid, term(row), _cell(row, "department"), _cell(row, "course_number", int), _cell(row, "credits", float),
-            _cell(row, "grade", float, optional=True), _cell(row, "mark", optional=True), _cell(row, "remedial", bool),
-        ))
-
-    def degree(line, row):
-        degrees[_known_id(row, degrees, "degree")].append(term(row))
-
-    _each_row(transcripts_file, TRANSCRIPT_COLUMNS, transcript)
+    with _table(transcripts_file, TRANSCRIPT_COLUMNS) as (reader, rows):
+        for sid, year, quarter, department, course, credits, grade, mark, remedial in rows:
+            if sid not in students:
+                raise FieldError("student_id", f"transcript row for unknown student_id {sid!r}")
+            transcripts[sid].append(TranscriptEntry(
+                sid, term(year, quarter), department, _parse(int, "course_number", course),
+                _parse(float, "credits", credits), _parse(float, "grade", grade) if grade else None,
+                mark or None, _parse(bool, "remedial", remedial),
+            ))
     if degrees_file is not None:
-        _each_row(degrees_file, DEGREE_COLUMNS, degree)
-    return [
-        _at(students_file, line, make_student, sid, demographics, entry, transcripts[sid], degrees[sid])
-        for sid, (line, demographics, entry) in students.items()
-    ]
+        with _table(degrees_file, DEGREE_COLUMNS) as (reader, rows):
+            for sid, year, quarter in rows:
+                if sid not in students:
+                    raise FieldError("student_id", f"degree row for unknown student_id {sid!r}")
+                degrees[sid].append(term(year, quarter))
+    records = []
+    try:
+        for sid, (line, demographics, entry) in students.items():
+            records.append(make_student(sid, demographics, entry, transcripts[sid], degrees[sid]))
+    except FieldError as exc:
+        raise DataFormatError(students_file, line, exc.field, str(exc)) from exc
+    return records
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

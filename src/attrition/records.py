@@ -18,6 +18,7 @@ cells, reports it at ``file:line: column``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 QUARTERS = ("winter", "spring", "summer", "autumn")
 
@@ -160,9 +161,8 @@ class TranscriptEntry:
             raise FieldError("grade", "entry has neither a numeric grade nor a mark")
 
 
-def transcript_sort_key(entry: TranscriptEntry) -> tuple[int, int, str]:
-    """Canonical transcript order: term, then course number, then department."""
-    return (entry.term, entry.course_number, entry.department)
+# Canonical transcript order: term, then course number, then department.
+transcript_sort_key = attrgetter("term", "course_number", "department")
 
 
 @dataclass(frozen=True)

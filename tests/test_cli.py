@@ -491,3 +491,23 @@ def test_pipeline_errors_name_the_failing_stage(tmp_path, capsys, monkeypatch):
     code = run(["pipeline", "--config", config, "--data", tmp_path / "data", "--out", tmp_path / "out"])
     assert code == 1
     assert capsys.readouterr().err == "error: screen: boom\n"
+
+
+@pytest.mark.parametrize("stage", ["featurize", "timing"])
+def test_a_stage_encodes_each_student_once(tmp_path, monkeypatch, stage):
+    import attrition.features as features
+
+    encoded = []
+
+    def counted(student, schema):
+        encoded.append(student.student_id)
+        return encode(student, schema)
+
+    encode = features.encode
+    args = run_stages(tmp_path, (200, ["generate", "label"]))
+    monkeypatch.setattr(features, "encode", counted)
+    assert run([stage, *args]) == 0
+    assert encoded and len(encoded) == len(set(encoded))
+    if stage == "featurize":
+        lines = (tmp_path / "out" / "features.csv").read_text().splitlines()[1:]
+        assert encoded == [line.split(",", 1)[0] for line in lines]

@@ -91,6 +91,14 @@ def test_fit_schema_rejects_empty_training_set():
         fit_schema(LabeledDataset(()), FeatureConfig())
 
 
+def test_standardizing_before_fit_scaling_is_refused(cohort_small):
+    _, records, _ = cohort_small
+    ds = label_all(records[:50])
+    schema = fit_schema(ds, FeatureConfig())
+    with pytest.raises(ValueError, match="call fit_scaling first"):
+        encode_dataset(ds, schema, standardize=True)
+
+
 def test_constant_sat_imputes_constant():
     records = [
         simple_student(sid=f"S{i}", sat=1200, act=20 + i, entries=[entry(f"S{i}", 1998, "autumn", "MATH")])
@@ -219,6 +227,7 @@ def test_encoding_matrix_standardized_and_finite(cohort_small):
     _, records, _ = cohort_small
     ds = label_all(records)
     schema = fit_schema(ds, FeatureConfig())
+    schema.fit_scaling(encode_dataset(ds, schema, standardize=False)[1])
     _, x, _ = encode_dataset(ds, schema, standardize=True)
     assert np.isfinite(x).all()
     mask = np.array([d.standardize for d in schema.descriptors])
@@ -244,6 +253,7 @@ def test_schema_hash_stable_under_test_encoding(cohort_small, tmp_path):
     train = LabeledDataset(ds.records[:300])
     test = LabeledDataset(ds.records[300:])
     schema = fit_schema(train, FeatureConfig())
+    schema.fit_scaling(encode_dataset(train, schema, standardize=False)[1])
     schema.to_json(tmp_path / "before.json")
     encode_dataset(test, schema)
     schema.to_json(tmp_path / "after.json")

@@ -1,10 +1,18 @@
+import csv
 import hashlib
 import inspect
+import tempfile
 from pathlib import Path
+from typing import Sequence
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from attrition.io import (
+    DEGREE_COLUMNS,
+    STUDENT_COLUMNS,
+    TRANSCRIPT_COLUMNS,
     DataFormatError,
     load_students,
     read_csv,
@@ -15,7 +23,21 @@ from attrition.io import (
     write_students,
     write_transcripts,
 )
-from attrition.records import year_quarter
+from attrition.records import (
+    GENDERS,
+    PREVIOUS_SCHOOLING,
+    QUARTERS,
+    RACES,
+    RESIDENCIES,
+    Demographics,
+    EntryInfo,
+    FieldError,
+    StudentRecord,
+    TranscriptEntry,
+    make_student,
+    term_index,
+    year_quarter,
+)
 from attrition.synthetic import SynthConfig, generate_cohort, write_cohort
 
 STUDENT_HEADER = (
@@ -248,3 +270,327 @@ def test_write_json_bytes(tmp_path):
     write_json(path, payload, indent=None)
     assert path.read_text(encoding="utf-8") == '{"a": {"y": [0.1, "s"], "z": null}, "b": [1, 2.5]}\n'
     assert read_json(path) == {"a": {"y": [0.1, "s"], "z": None}, "b": [1, 2.5]}
+
+
+def load_error(*paths) -> str:
+    with pytest.raises(DataFormatError) as err:
+        load_students(*paths)
+    return str(err.value)
+
+
+def test_of_two_bad_rows_the_earlier_is_reported(tmp_path):
+    students, transcripts = two_student_files(tmp_path)
+    lines = transcripts.read_text().splitlines()
+    lines[2] = "S1,1998,autumn,ENGL,111,5.0,9.9,,0"
+    lines[5] = "S2,1998,autumn,PSYCH,x,5.0,3.0,,0"
+    write(transcripts, lines)
+    assert load_error(students, transcripts) == (
+        f"{transcripts}:3: column 'grade': value 9.9 above maximum 4.0"
+    )
+
+
+def test_within_a_row_a_bad_year_is_reported_before_bad_credits(tmp_path):
+    students, transcripts = two_student_files(tmp_path)
+    lines = transcripts.read_text().splitlines()
+    lines[1] = "S1,19x8,autumn,MATH,124,lots,3.1,,0"
+    write(transcripts, lines)
+    assert load_error(students, transcripts) == (
+        f"{transcripts}:2: column 'year': expected an integer, got '19x8'"
+    )
+
+
+def test_cells_are_read_as_csv_dict_reader_reads_them(tmp_path):
+    """Padded cells, a blank line, short and long rows, a quoted comma, a repeated column."""
+    students = tmp_path / "students.csv"
+    transcripts = tmp_path / "transcripts.csv"
+    write(students, [
+        # act_score last, so that a short row leaves it blank; grade is repeated, the last wins
+        "student_id,race,gender,hispanic,residency,birth_year,previous_schooling,"
+        "transfer_credits,first_term_majors,fig_member,sat_score,act_score",
+        " S1 , Asian ,Female, 0 ,Resident, 1980 ,Freshman, 0 ,\"MAJ001;MAJ,002\", 1 , 1200 , 28 ",
+        "",
+        "S2,Caucasian,Male,1,NonResident,1979,Transfer2Yr,45.0,,0,1100",
+    ])
+    write(transcripts, [
+        "student_id,year,quarter,department,course_number,credits,grade,mark,remedial,grade",
+        "S1,1998,autumn,MATH,124,5.0,9.9,,0,3.1,an,extra,cell",
+        "",
+        "",
+        "S2 ,\t1999, spring ,BIOL,118,3.0,,,0, 2.9 ",
+        "S2,1999,spring,ART,101,2.0,,P,1,",
+    ])
+    by_id = {r.student_id: r for r in load_students(students, transcripts)}
+    assert sorted(by_id) == ["S1", "S2"]
+    s1, s2 = by_id["S1"], by_id["S2"]
+    assert s1.demographics == Demographics("Asian", "Female", False, "Resident", 1980)
+    assert s1.entry == EntryInfo("Freshman", 1200, 28, 0.0, ("MAJ001", "MAJ,002"), True)
+    assert s2.entry == EntryInfo("Transfer2Yr", 1100, None, 45.0, (), False)
+    assert s1.transcript == (TranscriptEntry("S1", term_index(1998, "autumn"), "MATH", 124, 5.0, 3.1),)
+    spring = term_index(1999, "spring")
+    assert s2.transcript == (
+        TranscriptEntry("S2", spring, "ART", 101, 2.0, None, "P", True),
+        TranscriptEntry("S2", spring, "BIOL", 118, 3.0, 2.9),
+    )
+
+
+def test_a_short_row_reads_blank_in_its_missing_cells(tmp_path):
+    students, transcripts = two_student_files(tmp_path)
+    lines = transcripts.read_text().splitlines()
+    lines[4] = "S2,1998,autumn,MATH,098,5.0,2.0"
+    write(transcripts, lines)
+    assert load_error(students, transcripts) == (
+        f"{transcripts}:5: column 'remedial': expected 0 or 1, got ''"
+    )
+
+
+def test_a_bad_row_after_blank_lines_is_named_at_its_own_line(tmp_path):
+    students, transcripts = two_student_files(tmp_path)
+    lines = transcripts.read_text().splitlines()
+    lines[2:2] = ["", ""]
+    lines[4] = "S1,1998,autumn,ENGL,111,5.0,9.9,,0"
+    write(transcripts, lines)
+    assert load_error(students, transcripts) == (
+        f"{transcripts}:5: column 'grade': value 9.9 above maximum 4.0"
+    )
+
+
+# The row-by-row loader that load_students replaced, kept verbatim as its oracle.
+
+
+_EXPECTED = {int: "an integer", float: "a decimal number", bool: "0 or 1"}
+
+
+def _cell(row: dict[str, str], column: str, kind: type = str, optional: bool = False):
+    """The stripped cell as `kind`: str, int, float, or bool for a 0/1 flag.
+
+    A blank cell is None when `optional`; a cell that does not parse raises
+    FieldError.
+    """
+    raw = (row.get(column) or "").strip()
+    if optional and not raw:
+        return None
+    if kind is str:
+        return raw
+    if kind is bool:
+        if raw in ("0", "1"):
+            return raw == "1"
+    else:
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    raise FieldError(column, f"expected {_EXPECTED[kind]}, got {raw!r}")
+
+
+def _known_id(row: dict[str, str], rows_by_id: dict, what: str) -> str:
+    sid = _cell(row, "student_id")
+    if sid not in rows_by_id:
+        raise FieldError("student_id", f"{what} row for unknown student_id {sid!r}")
+    return sid
+
+
+def _at(path: str | Path, line: int, build, *args):
+    """`build(*args)`, with a FieldError reported as a DataFormatError at `path`:`line`."""
+    try:
+        return build(*args)
+    except FieldError as exc:
+        raise DataFormatError(path, line, exc.field, str(exc)) from exc
+
+
+def _each_row(path: str | Path, columns: Sequence[str], handle) -> None:
+    """Call `handle(line, row)` on every data row of the CSV file at `path`.
+
+    The header must name every one of `columns`.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or [])]
+        if missing:
+            raise DataFormatError(path, 1, missing[0], "missing required column")
+        for row in reader:
+            _at(path, reader.line_num, handle, reader.line_num, row)
+
+
+def reference_load_students(
+    students_file: str | Path,
+    transcripts_file: str | Path,
+    degrees_file: str | Path | None = None,
+) -> list[StudentRecord]:
+    """Load student records from the registrar CSV files.
+
+    Here only the files are checked: required columns, cell syntax, and
+    empty, duplicate or unknown student ids. The record constructors check
+    every domain rule, and their errors are reported here at the file, line
+    and column of the row. Omitting the degrees file yields records with
+    empty ``degree_terms``.
+    """
+    students: dict[str, tuple[int, Demographics, EntryInfo]] = {}
+
+    def student(line, row):
+        sid = _cell(row, "student_id")
+        if not sid:
+            raise FieldError("student_id", "empty student_id")
+        if sid in students:
+            raise FieldError("student_id", f"duplicate student_id {sid!r}")
+        demographics = Demographics(_cell(row, "race"), _cell(row, "gender"), _cell(row, "hispanic", bool),
+                                    _cell(row, "residency"), _cell(row, "birth_year", int))
+        majors = tuple(m for m in _cell(row, "first_term_majors").split(";") if m)
+        entry = EntryInfo(_cell(row, "previous_schooling"), _cell(row, "sat_score", int, optional=True),
+                          _cell(row, "act_score", int, optional=True), _cell(row, "transfer_credits", float),
+                          majors, _cell(row, "fig_member", bool))
+        students[sid] = (line, demographics, entry)
+
+    _each_row(students_file, STUDENT_COLUMNS, student)
+    transcripts: dict[str, list[TranscriptEntry]] = {sid: [] for sid in students}
+    degrees: dict[str, list[int]] = {sid: [] for sid in students}
+
+    def term(row):
+        return term_index(_cell(row, "year", int), _cell(row, "quarter"))
+
+    def transcript(line, row):
+        sid = _known_id(row, transcripts, "transcript")
+        transcripts[sid].append(TranscriptEntry(
+            sid, term(row), _cell(row, "department"), _cell(row, "course_number", int), _cell(row, "credits", float),
+            _cell(row, "grade", float, optional=True), _cell(row, "mark", optional=True), _cell(row, "remedial", bool),
+        ))
+
+    def degree(line, row):
+        degrees[_known_id(row, degrees, "degree")].append(term(row))
+
+    _each_row(transcripts_file, TRANSCRIPT_COLUMNS, transcript)
+    if degrees_file is not None:
+        _each_row(degrees_file, DEGREE_COLUMNS, degree)
+    return [
+        _at(students_file, line, make_student, sid, demographics, entry, transcripts[sid], degrees[sid])
+        for sid, (line, demographics, entry) in students.items()
+    ]
+
+
+# A registrar file set as cells: file -> (columns, rows); each row maps column to text.
+COLUMNS = {"students": STUDENT_COLUMNS, "transcripts": TRANSCRIPT_COLUMNS, "degrees": DEGREE_COLUMNS}
+# Texts that break a rule of each column: its syntax, a bound or category, or a rule across columns.
+BAD_TEXTS = {
+    **dict.fromkeys(("race", "gender", "residency", "previous_schooling", "quarter"), ("", "Martian", "fall")),
+    **dict.fromkeys(("hispanic", "fig_member", "remedial"), ("", "2", "yes")),
+    **dict.fromkeys(("birth_year", "year"), ("", "19x0", "1850", "1.5")),
+    "student_id": ("", " ", "GHOST", "S0"),
+    "sat_score": ("x", "399", "1700", "1e3"),
+    "act_score": ("0", "37", "2.5"),
+    "transfer_credits": ("-1", "lots", "15"),
+    "first_term_majors": (";;", "MAJ,009"),
+    "department": ("", " "),
+    "course_number": ("-5", "1.5", "x"),
+    "credits": ("0", "-2", "five"),
+    "grade": ("4.5", "-0.1", "A", ""),
+    "mark": ("",),
+}
+
+
+@st.composite
+def registrar_files(draw):
+    """Small registrar files, valid or with 1-3 faults, written in varied but equivalent layouts."""
+    pick = lambda values: draw(st.sampled_from(values))  # noqa: E731
+    tables: dict[str, list[dict[str, str]]] = {name: [] for name in COLUMNS}
+    for i in range(draw(st.integers(1, 4))):
+        sid = f"S{i}"
+        schooling = pick(PREVIOUS_SCHOOLING)
+        tables["students"].append({
+            "student_id": sid, "race": pick(RACES), "gender": pick(GENDERS), "hispanic": pick("01"),
+            "residency": pick(RESIDENCIES), "birth_year": pick(["1900", "1975", "2001"]),
+            "previous_schooling": schooling, "sat_score": pick(["", "400", "1210", "1600"]),
+            "act_score": pick(["", "1", "28", "36"]),
+            "transfer_credits": "0" if schooling == "Freshman" else pick(["0", "12.5", "90"]),
+            "first_term_majors": pick(["", "MAJ001", "MAJ001;MAJ,002", ";MAJ003;"]), "fig_member": pick("01"),
+        })
+        for _ in range(draw(st.integers(1, 3))):
+            graded = draw(st.booleans())
+            tables["transcripts"].append({
+                "student_id": sid, "year": pick(["1900", "1998", "2001"]), "quarter": pick(QUARTERS),
+                "department": pick(["MATH", "CHEM", "ENGL"]), "course_number": pick(["098", "101", "0"]),
+                "credits": pick(["5.0", "3", "0.5"]), "grade": pick(["0.0", "3.1", "4"]) if graded else "",
+                "mark": "" if graded else pick(["P", "NP"]), "remedial": pick("01"),
+            })
+        if draw(st.booleans()):
+            tables["degrees"].append({"student_id": sid, "year": pick(["2001", "2004"]), "quarter": pick(QUARTERS)})
+    columns = {name: list(draw(st.permutations(cols))) for name, cols in COLUMNS.items()}
+    short: dict[tuple[str, int], int] = {}
+    faults = draw(st.integers(0, 3))
+    for _ in range(faults):
+        name = pick(["students", "transcripts", "transcripts", "degrees"][: 4 if tables["degrees"] else 3])
+        rows = tables[name]
+        kind = pick(["cell"] * 5 + ["missing column", "short row", "no transcript"])
+        if kind == "missing column":
+            columns[name].remove(pick(columns[name]))
+        elif kind == "no transcript":
+            gone = pick([row["student_id"] for row in tables["students"]])
+            tables["transcripts"] = [row for row in tables["transcripts"] if row["student_id"] != gone]
+        elif rows:
+            at = draw(st.integers(0, len(rows) - 1))
+            if kind == "short row":
+                short[name, at] = draw(st.integers(0, len(COLUMNS[name]) - 1))
+            else:
+                column = pick(COLUMNS[name])
+                rows[at][column] = pick(BAD_TEXTS[column])
+    layouts = {}
+    for name in COLUMNS:
+        layouts[name] = {
+            "pad": pick(["", " ", "\t "]),
+            "repeat": pick([None, *columns[name]]) if columns[name] else None,
+            "extra": draw(st.booleans()),
+            "blank lines": draw(st.booleans()),
+        }
+    return tables, columns, short, layouts
+
+
+def write_registrar_file(path: Path, columns: Sequence[str], rows, short, layout) -> None:
+    """Write `rows` under the header `columns` in `layout`.
+
+    A repeated column first appears, as junk, at the front; an extra column,
+    and past it extra cells, come last; blank lines go before every other row.
+    """
+    repeat, pad = layout["repeat"], layout["pad"]
+    header = ([repeat] if repeat else []) + list(columns) + (["note"] if layout["extra"] else [])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i, row in enumerate(rows):
+            cells = ["junk"] * bool(repeat) + [pad + row[c] + pad for c in columns]
+            cells += ["a, note", "past", "the header"] if layout["extra"] else []
+            if i in short:
+                cells = cells[: short[i]]
+            if layout["blank lines"] and i % 2:
+                fh.write("\n")
+            writer.writerow(cells)
+
+
+def outcome(load, paths):
+    """The records `load` returns, or the type and text of what it raises."""
+    try:
+        return load(*paths)
+    except (ValueError, csv.Error) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(registrar_files(), st.booleans())
+def test_loader_equals_the_row_by_row_oracle(files, with_degrees):
+    tables, columns, short, layouts = files
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name in COLUMNS:
+            path = Path(tmp) / f"{name}.csv"
+            file_short = {row: n for (file, row), n in short.items() if file == name}
+            write_registrar_file(path, columns[name], tables[name], file_short, layouts[name])
+            paths.append(path)
+        if not with_degrees:
+            paths.pop()
+        assert outcome(load_students, paths) == outcome(reference_load_students, paths)
+
+
+def test_loader_equals_the_oracle_on_the_5k_cohort(tmp_path, cohort_5k):
+    _, records, truths = cohort_5k
+    paths = write_cohort(records, truths, tmp_path)
+    files = (paths["students"], paths["transcripts"], paths["degrees"])
+    loaded = load_students(*files)
+    assert loaded == reference_load_students(*files)
+    assert loaded == records

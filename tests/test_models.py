@@ -143,7 +143,10 @@ def default_train_matrix():
     records, _ = generate_cohort(cfg.synth)
     balanced = balance(label_all(records, cfg.synth.degree_credits), cfg.sampling_seed)
     train, _ = split(balanced, cfg.test_fraction, cfg.split_seed)
-    _, x, y = encode_dataset(train, fit_schema(train, cfg.feature_config()), standardize=True)
+    schema = fit_schema(train, cfg.feature_config())
+    _, x, y = encode_dataset(train, schema, standardize=False)
+    schema.fit_scaling(x)
+    x = schema.standardize(x)
     assert x.shape == (387, 90)
     return x, y
 
