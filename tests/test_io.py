@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import inspect
+import re
 import tempfile
 from pathlib import Path
 from typing import Sequence
@@ -344,6 +345,8 @@ def test_a_short_row_reads_blank_in_its_missing_cells(tmp_path):
 
 
 def test_a_bad_row_after_blank_lines_is_named_at_its_own_line(tmp_path):
+    # csv.DictReader.__next__ reads `fieldnames` after skipping blank rows, and that
+    # property sets `line_num` again, so the row-by-row loader named the row's own line too.
     students, transcripts = two_student_files(tmp_path)
     lines = transcripts.read_text().splitlines()
     lines[2:2] = ["", ""]
@@ -352,6 +355,17 @@ def test_a_bad_row_after_blank_lines_is_named_at_its_own_line(tmp_path):
     assert load_error(students, transcripts) == (
         f"{transcripts}:5: column 'grade': value 9.9 above maximum 4.0"
     )
+
+
+def test_a_student_after_blank_lines_is_named_at_its_own_line(tmp_path):
+    students, transcripts = two_student_files(tmp_path)
+    lines = students.read_text().splitlines()
+    write(students, lines[:2] + ["", ""] + lines[2:])
+    write(transcripts, [line for line in transcripts.read_text().splitlines() if not line.startswith("S2,")])
+    expected = f"{students}:5: column 'student_id': student S2 has no transcript entries"
+    assert load_error(students, transcripts) == expected
+    with pytest.raises(DataFormatError, match="^" + re.escape(expected) + "$"):
+        reference_load_students(students, transcripts)
 
 
 # The row-by-row loader that load_students replaced, kept verbatim as its oracle.
