@@ -5,12 +5,12 @@ pipeline. Each stage reads its inputs from files, writes its artifacts plus
 a manifest line (the hashes of exactly the files it read and wrote, seeds,
 version, wall time and peak RSS), and fails with a one-line error naming the
 prerequisite subcommand when an input is missing, or the stage to rerun when
-an input lacks a student that another input has, or is a stale artifact: one
-whose own bytes, or whose producer's inputs, by the last manifest line
-listing it, no longer hash as they did (the registrar CSVs are source data,
-never stale). The resolved configuration is always echoed to the output
-directory, and two runs with identical configuration produce byte-identical
-reports.
+an input lacks a student that another input has, cannot be parsed, or is a
+stale artifact: one whose own bytes, or whose producer's inputs, by the last
+manifest line listing it, no longer hash as they did (the registrar CSVs are
+source data, never stale). The resolved configuration is always echoed to
+the output directory, and two runs with identical configuration produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import json
 import resource
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -91,6 +92,17 @@ class _Run:
             raise StageError(self.stage, f"missing input {path}; run '{prerequisite}' first")
         self.inputs[path] = prerequisite
         return path
+
+    @contextmanager
+    def reading(self, name: str, producer: str):
+        """Artifact `name` as written by `producer`; a parse error in the block stops the stage in one line."""
+        path = self.require(Path(self.cfg.out_dir) / name, producer)
+        try:
+            yield path
+        except (KeyError, TypeError, ValueError) as exc:
+            self.inputs = {path: producer, **self.inputs}  # the freshness rule checks this file first
+            self.check_fresh()
+            raise StageError(self.stage, f"{name} cannot be read ({exc!r}); rerun '{producer}'") from exc
 
     def digest(self, path: Path) -> str:
         """sha256 of a file, computed once per run."""
@@ -169,46 +181,43 @@ class _Rows(dict):
 
 def _read_labels(run: _Run, rerun: str) -> dict[str, OutcomeLabel]:
     """labels.csv by student id; `rerun` is the stage that fixes a missing id."""
-    path = run.require(Path(run.cfg.out_dir) / "labels.csv", "label")
-    return _Rows(run, path, rerun, (
-        (row["student_id"], OutcomeLabel(
-            graduated=row["graduated"] == "1",
-            quarters_enrolled=int(row["quarters_enrolled"]),
-            window_allowance=int(row["window_allowance"]),
+    with run.reading("labels.csv", "label") as path:
+        return _Rows(run, path, rerun, (
+            (row["student_id"], OutcomeLabel(
+                graduated=row["graduated"] == "1",
+                quarters_enrolled=int(row["quarters_enrolled"]),
+                window_allowance=int(row["window_allowance"]),
+            ))
+            for row in read_csv(path)
         ))
-        for row in read_csv(path)
-    ))
 
 
 def _read_features(run: _Run) -> tuple[list[str], np.ndarray]:
-    path = run.require(Path(run.cfg.out_dir) / "features.csv", "featurize")
     ids: list[str] = []
     rows: list[list[float]] = []
-    for row in read_csv(path):
-        ids.append(row.pop("student_id"))
-        rows.append([float(v) for v in row.values()])
+    with run.reading("features.csv", "featurize") as path:
+        for row in read_csv(path):
+            ids.append(row.pop("student_id"))
+            rows.append([float(v) for v in row.values()])
     return ids, np.array(rows)
 
 
 def _read_split(run: _Run) -> dict[str, str]:
-    path = run.require(Path(run.cfg.out_dir) / "split.csv", "featurize")
-    return _Rows(run, path, "featurize", ((row["student_id"], row["partition"]) for row in read_csv(path)))
-
-
-def _read_schema_meta(run: _Run) -> dict:
-    return read_json(run.require(Path(run.cfg.out_dir) / "schema.json", "featurize"))
+    with run.reading("split.csv", "featurize") as path:
+        return _Rows(run, path, "featurize", ((row["student_id"], row["partition"]) for row in read_csv(path)))
 
 
 def _matrices(run: _Run):
-    """Shared loading path for train/evaluate/screen: raw + standardized matrices."""
+    """Shared loading path for train/evaluate/screen: raw + standardized matrices, feature names."""
     ids, x_raw = _read_features(run)
     labels = _read_labels(run, "featurize")  # features.csv was built from other labels
     parts = _read_split(run)
-    meta = _read_schema_meta(run)
     y = np.array([0.0 if labels[i].graduated else 1.0 for i in ids])
     part = np.array([parts[i] for i in ids])
-    x_std = standardize(x_raw, meta["means"], meta["sds"], meta["standardized"])
-    return ids, x_raw, x_std, y, part == "train", meta
+    with run.reading("schema.json", "featurize") as path:
+        meta = read_json(path)
+        x_std = standardize(x_raw, meta["means"], meta["sds"], meta["standardized"])
+        return ids, x_raw, x_std, y, part == "train", meta["feature_names"]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +288,7 @@ def stage_featurize(cfg: RunConfig) -> list[Path]:
 
 def stage_train(cfg: RunConfig) -> list[Path]:
     run = _Run("train", cfg)
-    ids, x_raw, x_std, y, is_train, meta = _matrices(run)
+    ids, x_raw, x_std, y, is_train, _ = _matrices(run)
     run.check_fresh()
     x_tr_std, x_tr_raw, y_tr = x_std[is_train], x_raw[is_train], y[is_train]
     out_dir = Path(cfg.out_dir)
@@ -315,13 +324,14 @@ def stage_train(cfg: RunConfig) -> list[Path]:
 
 def stage_evaluate(cfg: RunConfig) -> list[Path]:
     run = _Run("evaluate", cfg)
-    ids, x_raw, x_std, y, is_train, meta = _matrices(run)
+    ids, x_raw, x_std, y, is_train, _ = _matrices(run)
     out_dir = Path(cfg.out_dir)
     x_te_std, x_te_raw, y_te = x_std[~is_train], x_raw[~is_train], y[~is_train]
 
     models = {}
     for name, filename in MODEL_FILES.items():
-        models[name] = load_model(run.require(out_dir / filename, "train"))
+        with run.reading(filename, "train") as path:
+            models[name] = load_model(path)
     run.check_fresh()
 
     report_models: dict[str, ModelEval] = {}
@@ -351,10 +361,10 @@ def stage_evaluate(cfg: RunConfig) -> list[Path]:
 
 def stage_screen(cfg: RunConfig) -> list[Path]:
     run = _Run("screen", cfg)
-    ids, x_raw, x_std, y, is_train, meta = _matrices(run)
+    ids, x_raw, x_std, y, is_train, names = _matrices(run)
     run.check_fresh()
     rows = screen_features(
-        meta["feature_names"],
+        names,
         x_std[is_train], y[is_train],
         x_std[~is_train], y[~is_train],
     )

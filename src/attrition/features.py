@@ -75,24 +75,23 @@ class FeatureConfig:
 class FeatureDescriptor:
     name: str
     kind: str  # "dummy" | "numeric" | "department"
-    source: str
     standardize: bool
 
 
-def _block(kind: str, source: str, names: Sequence[str], values):
+def _block(kind: str, names: Sequence[str], values):
     """Columns `names`, and `values(student, first_term_entries)`: one float per column."""
-    return tuple(FeatureDescriptor(n, kind, source, kind == "numeric") for n in names), values
+    return tuple(FeatureDescriptor(n, kind, kind == "numeric") for n in names), values
 
 
-def _one_hot(prefix: str, categories: Sequence[str], source: str, value):
+def _one_hot(prefix: str, categories: Sequence[str], value):
     """One dummy column per category; `value(student)`, read once, picks the one that reads 1."""
-    return _block("dummy", source, [f"{prefix}={c}" for c in categories],
+    return _block("dummy", [f"{prefix}={c}" for c in categories],
                   lambda s, first: [1.0 if c == v else 0.0 for v in [value(s)] for c in categories])
 
 
-def _flag(name: str, source: str, value):
+def _flag(name: str, value):
     """One dummy column that reads 1 where `value(student, first_term_entries)` holds."""
-    return _block("dummy", source, [name], lambda s, first: [1.0 if value(s, first) else 0.0])
+    return _block("dummy", [name], lambda s, first: [1.0 if value(s, first) else 0.0])
 
 
 def _tuple_block(kind: str, key: str, dept: str, course_range: tuple[float, float], fallback: float):
@@ -102,7 +101,7 @@ def _tuple_block(kind: str, key: str, dept: str, course_range: tuple[float, floa
         return [float(took), credits, float(classes), fallback if gpa is None else gpa]
 
     columns = tuple(
-        FeatureDescriptor(f"{kind}={key}:{c}", "department", "transcript", c != "took")
+        FeatureDescriptor(f"{kind}={key}:{c}", "department", c != "took")
         for c in ("took", "credits", "classes", "gpa")
     )
     return columns, values
@@ -144,11 +143,11 @@ def _tuple_groups(config: FeatureConfig, department_vocab: Sequence[str]):
 
 # Demographic and schooling one-hots: the first columns, and the imputer's regressors.
 _DEMOGRAPHIC_BLOCKS = (
-    _one_hot("race", RACES, "demographics", lambda s: s.demographics.race),
-    _one_hot("gender", GENDERS, "demographics", lambda s: s.demographics.gender),
-    _one_hot("residency", RESIDENCIES, "demographics", lambda s: s.demographics.residency),
-    _one_hot("prev_schooling", PREVIOUS_SCHOOLING, "entry", lambda s: s.entry.previous_schooling),
-    _flag("hispanic", "demographics", lambda s, first: s.demographics.hispanic),
+    _one_hot("race", RACES, lambda s: s.demographics.race),
+    _one_hot("gender", GENDERS, lambda s: s.demographics.gender),
+    _one_hot("residency", RESIDENCIES, lambda s: s.demographics.residency),
+    _one_hot("prev_schooling", PREVIOUS_SCHOOLING, lambda s: s.entry.previous_schooling),
+    _flag("hispanic", lambda s, first: s.demographics.hispanic),
 )
 
 
@@ -258,17 +257,17 @@ class FeatureSchema:
         imputer, majors = self.imputer, self.major_vocab
         return [
             *_DEMOGRAPHIC_BLOCKS,
-            _block("numeric", "demographics", ["birth_year"], lambda s, first: [float(s.demographics.birth_year)]),
-            _block("numeric", "transcript", ["entry_year"], lambda s, first: [float(year_quarter(s.first_term)[0])]),
-            _one_hot("first_quarter", QUARTERS, "transcript", lambda s: year_quarter(s.first_term)[1]),
-            _block("numeric", "entry", list(SCORE_BOUNDS),
+            _block("numeric", ["birth_year"], lambda s, first: [float(s.demographics.birth_year)]),
+            _block("numeric", ["entry_year"], lambda s, first: [float(year_quarter(s.first_term)[0])]),
+            _one_hot("first_quarter", QUARTERS, lambda s: year_quarter(s.first_term)[1]),
+            _block("numeric", list(SCORE_BOUNDS),
                    lambda s, first: [imputer.impute(s, score) for score in SCORE_BOUNDS]),
-            _block("dummy", "entry", [f"major={m}" for m in majors],
+            _block("dummy", [f"major={m}" for m in majors],
                    lambda s, first: [1.0 if m in s.entry.first_term_majors else 0.0 for m in majors]),
             *(_tuple_block(kind, key, dept, course_range, self.gpa_means[kind][key])
               for kind, key, dept, course_range in _tuple_groups(self.config, self.department_vocab)),
-            _flag("remedial", "transcript", lambda s, first: any(e.remedial for e in first)),
-            _flag("fig_member", "entry", lambda s, first: s.entry.fig_member),
+            _flag("remedial", lambda s, first: any(e.remedial for e in first)),
+            _flag("fig_member", lambda s, first: s.entry.fig_member),
         ]
 
     @property

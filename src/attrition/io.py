@@ -163,7 +163,7 @@ def load_students(
             if sid not in students:
                 raise FieldError("student_id", f"transcript row for unknown student_id {sid!r}")
             transcripts[sid].append(TranscriptEntry(
-                sid, term(year, quarter), department, _parse(int, "course_number", course),
+                term(year, quarter), department, _parse(int, "course_number", course),
                 _parse(float, "credits", credits), _parse(float, "grade", grade) if grade else None,
                 mark or None, _parse(bool, "remedial", remedial),
             ))
@@ -241,7 +241,7 @@ def write_transcripts(records: Iterable[StudentRecord], path: str | Path) -> Non
         TRANSCRIPT_COLUMNS,
         (
             [
-                t.student_id,
+                r.student_id,
                 *year_quarter(t.term),
                 t.department,
                 t.course_number,

@@ -606,8 +606,5 @@ def save_model(model: Model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> Model:
-    """Read a model file; one that is unreadable or in an older format is a ValueError."""
-    try:
-        return model_from_dict(read_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"cannot read model {path} ({type(exc).__name__}: {exc}); rerun 'train'") from exc
+    """Read a model file; a damaged or outdated one raises KeyError, TypeError or ValueError."""
+    return model_from_dict(read_json(path))

@@ -12,7 +12,8 @@ The record constructors are the only place a domain rule is checked: every
 bound, every category, grade-or-mark, positive credits and a non-empty
 transcript. A broken rule raises `FieldError`, which names the field; field
 names equal the CSV column names, so `io.load_students`, which only parses
-cells, reports it at ``file:line: column``.
+cells, reports it at ``file:line: column``. A transcript entry stores no
+student id: its student is the `StudentRecord` whose transcript holds it.
 """
 
 from __future__ import annotations
@@ -137,7 +138,6 @@ class TranscriptEntry:
     instead. Either way the entry counts as enrollment for its term.
     """
 
-    student_id: str
     term: int  # term_index of the quarter
     department: str
     course_number: int
@@ -185,12 +185,6 @@ class StudentRecord:
         object.__setattr__(self, "degree_terms", tuple(self.degree_terms))
         if not self.transcript:
             raise FieldError("student_id", f"student {self.student_id} has no transcript entries")
-        for entry in self.transcript:
-            if entry.student_id != self.student_id:
-                raise FieldError(
-                    "student_id",
-                    f"transcript entry for {entry.student_id!r} attached to student {self.student_id!r}",
-                )
         object.__setattr__(self, "first_term", min(e.term for e in self.transcript))
 
     def first_term_entries(self) -> tuple[TranscriptEntry, ...]:

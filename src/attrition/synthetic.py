@@ -238,7 +238,6 @@ def _draw_courses(
     signal_departments: tuple[str, ...],
     difficulties: np.ndarray,
     ability: float,
-    sid: str,
     term: int,
     first_term: bool,
     remedial_student: bool,
@@ -276,7 +275,7 @@ def _draw_courses(
             grade = _round_grade(raw)
             mark = None
         entries.append(
-            TranscriptEntry(sid, term, dept, number, float(_CREDIT_CHOICES[credits[j]]), grade, mark, remedial)
+            TranscriptEntry(term, dept, number, float(_CREDIT_CHOICES[credits[j]]), grade, mark, remedial)
         )
     return entries
 
@@ -346,7 +345,7 @@ def generate_cohort(cfg: SynthConfig) -> tuple[list[StudentRecord], list[GroundT
         first_term = term_index(entry_year, first_quarter)
         first_entries = _draw_courses(
             rng, cfg, departments, dept_index, signal_departments, difficulties,
-            ability, sid, first_term, True, remedial_student,
+            ability, first_term, True, remedial_student,
         )
 
         logit = base_logit
@@ -397,7 +396,7 @@ def generate_cohort(cfg: SynthConfig) -> tuple[list[StudentRecord], list[GroundT
         for off in offsets[1:]:
             entries.extend(
                 _draw_courses(rng, cfg, departments, dept_index, signal_departments, difficulties,
-                              ability, sid, first_term + off, False, False)
+                              ability, first_term + off, False, False)
             )
         records.append(make_student(sid, demo, entry, entries, degree_terms))
     return records, truths

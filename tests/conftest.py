@@ -25,12 +25,12 @@ def simple_student(
     demo = Demographics(race, gender, False, residency, birth_year)
     entry = EntryInfo(prev, sat, act, transfer_credits, majors, fig)
     if entries is None:
-        entries = [TranscriptEntry(sid, term_index(1998, "autumn"), "MATH", 124, 5.0, 3.1)]
+        entries = [TranscriptEntry(term_index(1998, "autumn"), "MATH", 124, 5.0, 3.1)]
     return make_student(sid, demo, entry, entries, degree_terms)
 
 
-def entry(sid, year, quarter, dept, number=101, credits=5.0, grade=3.0, mark=None, remedial=False):
-    return TranscriptEntry(sid, term_index(year, quarter), dept, number, credits, grade, mark, remedial)
+def entry(year, quarter, dept, number=101, credits=5.0, grade=3.0, mark=None, remedial=False):
+    return TranscriptEntry(term_index(year, quarter), dept, number, credits, grade, mark, remedial)
 
 
 @pytest.fixture(scope="session")

@@ -202,7 +202,7 @@ def test_c7_feature_count_formula():
     with criterion(7, "196 departments -> 784-feature block; schema size matches formula", 1):
         records = [
             simple_student(sid=f"S{i}", sat=1000, act=20, majors=(f"M{i % 10}",),
-                           entries=[entry(f"S{i}", 1998, "autumn", f"D{i:03d}")])
+                           entries=[entry(1998, "autumn", f"D{i:03d}")])
             for i in range(196)
         ]
         lab = label_all(records)

@@ -290,30 +290,62 @@ def test_cv_failure_names_model_and_fold(tmp_path, capsys):
     )
 
 
+def edit_payload(change):
+    """An edit of a JSON file's text: `change` edits the parsed payload in place."""
+    def edit(text):
+        payload = json.loads(text)
+        change(payload)
+        return json.dumps(payload)
+    return edit
+
+
+def keep_cells(keep):
+    """An edit of a CSV file's text that keeps the cells `keep` (a slice) of every line."""
+    return lambda text: "".join(",".join(line.split(",")[keep]) + "\n" for line in text.splitlines())
+
+
 @pytest.mark.parametrize(
-    "filename, edit",
+    "filename, producer, edit",
     [
         # a forest written before `features_per_split` was dropped from ForestParams
-        ("model_random_forest.json", lambda m: m["params"].update(features_per_split=None)),
-        ("model_logistic_regression.json", lambda m: m.pop("weights")),
+        ("model_random_forest.json", "train", edit_payload(lambda m: m["params"].update(features_per_split=None))),
+        ("model_logistic_regression.json", "train", edit_payload(lambda m: m.pop("weights"))),
+        ("labels.csv", "label", keep_cells(slice(0, 3))),
+        # the first row's window_allowance reads n/a
+        ("labels.csv", "label", lambda text: re.sub(r"\d+\n", "n/a\n", text, count=1)),
+        ("features.csv", "featurize", keep_cells(slice(1, None))),
+        # the first row is one cell short
+        ("features.csv", "featurize", lambda text: re.sub(r"(\n[^\n]*),[^,\n]*\n", r"\1\n", text, count=1)),
+        ("split.csv", "featurize", keep_cells(slice(1, None))),
+        ("schema.json", "featurize", edit_payload(lambda m: m.pop("means"))),
     ],
+    ids=["forest-old-params", "logistic-no-weights", "labels-no-window_allowance", "labels-non-numeric",
+         "features-no-student_id", "features-short-row", "split-no-student_id", "schema-no-means"],
 )
-def test_unreadable_model_file_names_file_and_train(tmp_path, capsys, filename, edit):
+def test_unreadable_model_file_names_file_and_train(tmp_path, capsys, filename, producer, edit):
     config = write_config(tmp_path)
     out = tmp_path / "out"
     data = tmp_path / "data"
     for sub in ("generate", "label", "featurize", "train"):
         assert run([sub, "--config", config, "--data", data, "--out", out]) == 0
-    payload = json.loads((out / filename).read_text())
-    edit(payload)
-    (out / filename).write_text(json.dumps(payload), encoding="utf-8")
-    capsys.readouterr()
-    code = run(["evaluate", "--config", config, "--data", data, "--out", out])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err.startswith("error: evaluate: ")
-    assert filename in captured.err and "rerun 'train'" in captured.err
-    assert len(captured.err.strip().splitlines()) == 1
+    written = hashlib.sha256((out / filename).read_bytes()).hexdigest()
+    (out / filename).write_text(edit((out / filename).read_text()), encoding="utf-8")
+
+    def evaluate_stops_in_one_line():
+        capsys.readouterr()
+        code = run(["evaluate", "--config", config, "--data", data, "--out", out])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: evaluate: ")
+        assert filename in captured.err and f"rerun '{producer}'" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
+    evaluate_stops_in_one_line()
+    # as if `producer` had written the edited file: fresh, and still unreadable
+    edited = hashlib.sha256((out / filename).read_bytes()).hexdigest()
+    manifest = out / "manifest.jsonl"
+    manifest.write_text(manifest.read_text().replace(written, edited), encoding="utf-8")
+    evaluate_stops_in_one_line()
 
 
 def test_timing_runs_on_a_150_student_cohort(tmp_path):

@@ -319,7 +319,7 @@ def nc_dataset_with_linear_target(n=60):
                 sid=sid,
                 sat=sat,
                 act=20,
-                entries=[entry(sid, 1998, "autumn", "MATH", grade=3.0)],
+                entries=[entry(1998, "autumn", "MATH", grade=3.0)],
             )
         )
         labels.append(OutcomeLabel(False, sat // 100 - 3, 24))

@@ -31,14 +31,14 @@ def expected_feature_count(n_majors, n_departments):
 
 def test_department_tuple_weighted_gpa():
     entries = [
-        entry("S1", 1998, "autumn", "MATH", number=124, credits=5.0, grade=3.5),
-        entry("S1", 1998, "autumn", "MATH", number=125, credits=5.0, grade=2.5),
+        entry(1998, "autumn", "MATH", number=124, credits=5.0, grade=3.5),
+        entry(1998, "autumn", "MATH", number=125, credits=5.0, grade=2.5),
     ]
     assert department_tuple(entries, "MATH") == (1, 10.0, 2, 3.0)
 
 
 def test_department_tuple_absent_department():
-    entries = [entry("S1", 1998, "autumn", "MATH")]
+    entries = [entry(1998, "autumn", "MATH")]
     took, credits, classes, gpa = department_tuple(entries, "CHEM")
     assert (took, credits, classes) == (0, 0.0, 0)
     assert gpa is None
@@ -46,8 +46,8 @@ def test_department_tuple_absent_department():
 
 def test_department_tuple_excludes_pass_fail_from_gpa():
     entries = [
-        entry("S1", 1998, "autumn", "ENGL", number=111, credits=3.0, grade=4.0),
-        entry("S1", 1998, "autumn", "ENGL", number=112, credits=2.0, grade=None, mark="P"),
+        entry(1998, "autumn", "ENGL", number=111, credits=3.0, grade=4.0),
+        entry(1998, "autumn", "ENGL", number=112, credits=2.0, grade=None, mark="P"),
     ]
     assert department_tuple(entries, "ENGL") == (1, 5.0, 2, 4.0)
 
@@ -56,7 +56,7 @@ def test_major_vocabulary_tie_break_is_lexicographic():
     majors = [f"M{i:03d}" for i in range(151)]
     records = [
         simple_student(sid=f"S{i}", majors=(m,), sat=1000, act=20,
-                       entries=[entry(f"S{i}", 1998, "autumn", "MATH")])
+                       entries=[entry(1998, "autumn", "MATH")])
         for i, m in enumerate(majors)
     ]
     schema = fit_schema(as_dataset(records), FeatureConfig())
@@ -67,7 +67,7 @@ def test_major_vocabulary_tie_break_is_lexicographic():
 def test_department_block_is_784_with_196_departments():
     records = [
         simple_student(sid=f"S{i}", sat=1000, act=20,
-                       entries=[entry(f"S{i}", 1998, "autumn", f"D{i:03d}")])
+                       entries=[entry(1998, "autumn", f"D{i:03d}")])
         for i in range(196)
     ]
     schema = fit_schema(as_dataset(records), FeatureConfig())
@@ -101,7 +101,7 @@ def test_standardizing_before_fit_scaling_is_refused(cohort_small):
 
 def test_constant_sat_imputes_constant():
     records = [
-        simple_student(sid=f"S{i}", sat=1200, act=20 + i, entries=[entry(f"S{i}", 1998, "autumn", "MATH")])
+        simple_student(sid=f"S{i}", sat=1200, act=20 + i, entries=[entry(1998, "autumn", "MATH")])
         for i in range(10)
     ]
     imp = fit_imputer(as_dataset(records), "regression")
@@ -111,30 +111,30 @@ def test_constant_sat_imputes_constant():
 
 def test_mean_mode_imputes_mean():
     records = [
-        simple_student(sid="S1", sat=1000, act=20, entries=[entry("S1", 1998, "autumn", "MATH")]),
-        simple_student(sid="S2", sat=1100, act=30, entries=[entry("S2", 1998, "autumn", "MATH")]),
+        simple_student(sid="S1", sat=1000, act=20, entries=[entry(1998, "autumn", "MATH")]),
+        simple_student(sid="S2", sat=1100, act=30, entries=[entry(1998, "autumn", "MATH")]),
     ]
     imp = fit_imputer(as_dataset(records), "mean")
     assert imp.impute(simple_student(sid="T"), "act_score") == pytest.approx(25.0)
 
 
 def test_imputer_requires_observed_scores():
-    records = [simple_student(sid=f"S{i}", entries=[entry(f"S{i}", 1998, "autumn", "MATH")]) for i in range(3)]
+    records = [simple_student(sid=f"S{i}", entries=[entry(1998, "autumn", "MATH")]) for i in range(3)]
     for mode in ("regression", "mean"):
         with pytest.raises(ValueError, match="no observed SAT"):
             fit_imputer(as_dataset(records), mode)
 
 
 def test_imputer_rejects_an_unknown_mode():
-    records = [simple_student(sid="S1", sat=1000, act=20, entries=[entry("S1", 1998, "autumn", "MATH")])]
+    records = [simple_student(sid="S1", sat=1000, act=20, entries=[entry(1998, "autumn", "MATH")])]
     with pytest.raises(ValueError, match="'median'"):
         fit_imputer(as_dataset(records), "median")
 
 
 def test_regression_imputation_with_one_observed_sat_uses_its_value():
-    records = [simple_student(sid="S0", sat=1310, act=22, entries=[entry("S0", 1998, "autumn", "MATH")])]
+    records = [simple_student(sid="S0", sat=1310, act=22, entries=[entry(1998, "autumn", "MATH")])]
     records += [
-        simple_student(sid=f"S{i}", sat=None, act=18 + i, entries=[entry(f"S{i}", 1998, "autumn", "MATH")])
+        simple_student(sid=f"S{i}", sat=None, act=18 + i, entries=[entry(1998, "autumn", "MATH")])
         for i in range(1, 8)
     ]
     imp = fit_imputer(as_dataset(records), "regression")
@@ -156,7 +156,7 @@ def test_regression_imputation_tracks_linear_relation():
                 sid=f"S{i}",
                 sat=sat if observed else None,
                 act=act,
-                entries=[entry(f"S{i}", 1998, "autumn", "MATH")],
+                entries=[entry(1998, "autumn", "MATH")],
             )
         )
         sats.append(sat)
@@ -213,7 +213,7 @@ def test_encode_one_hot_blocks_sum_to_one(cohort_small):
 def test_unknown_major_encodes_to_zeros():
     train = [
         simple_student(sid=f"S{i}", majors=("MAJX",), sat=1000, act=20,
-                       entries=[entry(f"S{i}", 1998, "autumn", "MATH")])
+                       entries=[entry(1998, "autumn", "MATH")])
         for i in range(4)
     ]
     schema = fit_schema(as_dataset(train), FeatureConfig())
@@ -262,9 +262,9 @@ def test_schema_hash_stable_under_test_encoding(cohort_small, tmp_path):
 
 def test_gatekeeper_tuple_is_department_tuple_on_restricted_entries():
     entries = [
-        entry("S1", 1998, "autumn", "MATH", number=124, credits=5.0, grade=3.5),
-        entry("S1", 1998, "autumn", "MATH", number=324, credits=5.0, grade=1.5),
-        entry("S1", 1998, "autumn", "CHEM", number=142, credits=4.0, grade=3.0),
+        entry(1998, "autumn", "MATH", number=124, credits=5.0, grade=3.5),
+        entry(1998, "autumn", "MATH", number=324, credits=5.0, grade=1.5),
+        entry(1998, "autumn", "CHEM", number=142, credits=4.0, grade=3.0),
     ]
     restricted = [e for e in entries if 100 <= e.course_number <= 199]
     assert department_tuple(entries, "MATH", (100, 199)) == department_tuple(restricted, "MATH") == (1, 5.0, 1, 3.5)
@@ -308,14 +308,14 @@ def test_missing_dept_gpa_uses_training_mean():
             sat=1000,
             act=20,
             entries=[
-                entry(f"S{i}", 1998, "autumn", "MATH", grade=3.0),
-                entry(f"S{i}", 1998, "autumn", "ENGL", grade=2.0),
+                entry(1998, "autumn", "MATH", grade=3.0),
+                entry(1998, "autumn", "ENGL", grade=2.0),
             ],
         )
         for i in range(5)
     ]
     schema = fit_schema(as_dataset(train), FeatureConfig())
-    loner = simple_student(sid="T", entries=[entry("T", 1998, "autumn", "ENGL", grade=2.0)])
+    loner = simple_student(sid="T", entries=[entry(1998, "autumn", "ENGL", grade=2.0)])
     vec = encode(loner, schema)
     assert vec[schema.index_of("dept=MATH:gpa")] == pytest.approx(3.0)
     assert vec[schema.index_of("dept=MATH:took")] == 0.0
@@ -324,10 +324,12 @@ def test_missing_dept_gpa_uses_training_mean():
 
 @pytest.mark.parametrize("overrides, expected", [
     ({}, {
+        "labels.csv": "5b1a1c129d1c1b2bdc3aa54bb9cb7f3bfeb8a4944280fe97bf3d8fc7862f2b9d",
         "features.csv": "6f6e6c4e715346551254d7eefd393a557a38ae881bea5f2e88d58c2f3cc0e97f",
         "schema.json": "0844174bcc3900b3985579b0bf21328ead2aa5bc842796fb53b460284082433b",
     }),
     ({"imputation_mode": "mean", "gatekeeper_range": [100, 149]}, {
+        "labels.csv": "5b1a1c129d1c1b2bdc3aa54bb9cb7f3bfeb8a4944280fe97bf3d8fc7862f2b9d",
         "features.csv": "2b29cff6dc31893a27a4a1589009294cee2bd9d9ec1f0327957df85b66117df1",
         "schema.json": "a5a386f9fa32906bfc50244e83914f08794f9c5779cc4be52b346c148014d51d",
     }),

@@ -326,11 +326,11 @@ def test_cells_are_read_as_csv_dict_reader_reads_them(tmp_path):
     assert s1.demographics == Demographics("Asian", "Female", False, "Resident", 1980)
     assert s1.entry == EntryInfo("Freshman", 1200, 28, 0.0, ("MAJ001", "MAJ,002"), True)
     assert s2.entry == EntryInfo("Transfer2Yr", 1100, None, 45.0, (), False)
-    assert s1.transcript == (TranscriptEntry("S1", term_index(1998, "autumn"), "MATH", 124, 5.0, 3.1),)
+    assert s1.transcript == (TranscriptEntry(term_index(1998, "autumn"), "MATH", 124, 5.0, 3.1),)
     spring = term_index(1999, "spring")
     assert s2.transcript == (
-        TranscriptEntry("S2", spring, "ART", 101, 2.0, None, "P", True),
-        TranscriptEntry("S2", spring, "BIOL", 118, 3.0, 2.9),
+        TranscriptEntry(spring, "ART", 101, 2.0, None, "P", True),
+        TranscriptEntry(spring, "BIOL", 118, 3.0, 2.9),
     )
 
 
@@ -464,7 +464,7 @@ def reference_load_students(
     def transcript(line, row):
         sid = _known_id(row, transcripts, "transcript")
         transcripts[sid].append(TranscriptEntry(
-            sid, term(row), _cell(row, "department"), _cell(row, "course_number", int), _cell(row, "credits", float),
+            term(row), _cell(row, "department"), _cell(row, "course_number", int), _cell(row, "credits", float),
             _cell(row, "grade", float, optional=True), _cell(row, "mark", optional=True), _cell(row, "remedial", bool),
         ))
 

@@ -19,16 +19,16 @@ from conftest import entry, simple_student
 def test_enrollment_terms_dedups_and_sorts():
     s = simple_student(
         entries=[
-            entry("S1", 1999, "autumn", "MATH"),
-            entry("S1", 1999, "autumn", "ENGL"),
-            entry("S1", 2000, "winter", "CHEM"),
+            entry(1999, "autumn", "MATH"),
+            entry(1999, "autumn", "ENGL"),
+            entry(2000, "winter", "CHEM"),
         ]
     )
     assert enrollment_terms(s) == [term_index(1999, "autumn"), term_index(2000, "winter")]
 
 
 def test_single_pass_fail_entry_counts_as_enrollment():
-    s = simple_student(entries=[entry("S1", 1999, "autumn", "ART", grade=None, mark="P")])
+    s = simple_student(entries=[entry(1999, "autumn", "ART", grade=None, mark="P")])
     assert len(enrollment_terms(s)) == 1
 
 
@@ -66,7 +66,7 @@ def test_window_allowance_always_in_range(credits, degree_credits):
 
 def grad_student(degree_year, degree_quarter):
     return simple_student(
-        entries=[entry("S1", 1998, "autumn", "MATH")],
+        entries=[entry(1998, "autumn", "MATH")],
         degree_terms=[term_index(degree_year, degree_quarter)],
     )
 
@@ -98,11 +98,11 @@ def test_labels_match_ground_truth(cohort_small):
 @given(st.permutations(list(range(5))))
 def test_label_outcome_invariant_to_transcript_order(perm):
     base = [
-        entry("S1", 1998, "autumn", "MATH", number=124),
-        entry("S1", 1999, "winter", "ENGL", number=111),
-        entry("S1", 1999, "spring", "CHEM", number=142),
-        entry("S1", 2000, "autumn", "BIOL", number=200),
-        entry("S1", 2001, "spring", "PSYCH", number=210),
+        entry(1998, "autumn", "MATH", number=124),
+        entry(1999, "winter", "ENGL", number=111),
+        entry(1999, "spring", "CHEM", number=142),
+        entry(2000, "autumn", "BIOL", number=200),
+        entry(2001, "spring", "PSYCH", number=210),
     ]
     shuffled = tuple(base[i] for i in perm)
     s = StudentRecord(

@@ -52,12 +52,12 @@ def test_term_validation():
 
 def test_entry_requires_grade_or_mark():
     with pytest.raises(ValueError):
-        TranscriptEntry("S1", term_index(1998, "autumn"), "MATH", 124, 5.0, None, None)
+        TranscriptEntry(term_index(1998, "autumn"), "MATH", 124, 5.0, None, None)
 
 
 def test_grade_range_enforced():
     with pytest.raises(ValueError):
-        entry("S1", 1998, "autumn", "MATH", grade=4.5)
+        entry(1998, "autumn", "MATH", grade=4.5)
 
 
 @pytest.mark.parametrize("field,changes", [
@@ -68,7 +68,7 @@ def test_grade_range_enforced():
 def test_entry_needs_positive_credits_course_number_and_department(field, changes):
     args = {"dept": "MATH", "number": 124, "credits": 5.0, **changes}
     with pytest.raises(FieldError) as err:
-        entry("S1", 1998, "autumn", **args)
+        entry(1998, "autumn", **args)
     assert err.value.field == field
 
 
@@ -86,38 +86,33 @@ def test_freshman_transfer_credits_must_be_zero():
 def test_first_term_is_derived_minimum():
     s = simple_student(
         entries=[
-            entry("S1", 1999, "spring", "ENGL"),
-            entry("S1", 1998, "autumn", "MATH"),
+            entry(1999, "spring", "ENGL"),
+            entry(1998, "autumn", "MATH"),
         ]
     )
     assert s.first_term == term_index(1998, "autumn")
 
 
 def test_first_term_counts_pass_fail_marks():
-    s = simple_student(entries=[entry("S1", 2001, "winter", "ART", grade=None, mark="P")])
+    s = simple_student(entries=[entry(2001, "winter", "ART", grade=None, mark="P")])
     assert s.first_term == term_index(2001, "winter")
-
-
-def test_transcript_entries_must_share_student_id():
-    with pytest.raises(ValueError):
-        simple_student(sid="S1", entries=[entry("S2", 1998, "autumn", "MATH")])
 
 
 @given(st.permutations(list(range(6))))
 def test_canonical_sort_is_permutation_invariant(perm):
     base = [
-        entry("S1", 1998, "autumn", "MATH", number=124),
-        entry("S1", 1998, "autumn", "CHEM", number=124),
-        entry("S1", 1998, "autumn", "MATH", number=101),
-        entry("S1", 1999, "winter", "BIOL", number=200),
-        entry("S1", 1998, "winter", "ENGL", number=111),
-        entry("S1", 1998, "autumn", "ART", number=300),
+        entry(1998, "autumn", "MATH", number=124),
+        entry(1998, "autumn", "CHEM", number=124),
+        entry(1998, "autumn", "MATH", number=101),
+        entry(1999, "winter", "BIOL", number=200),
+        entry(1998, "winter", "ENGL", number=111),
+        entry(1998, "autumn", "ART", number=300),
     ]
     shuffled = [base[i] for i in perm]
     assert sorted(shuffled, key=transcript_sort_key) == sorted(base, key=transcript_sort_key)
 
 
 def test_canonical_sort_breaks_ties_by_department():
-    e1 = entry("S1", 1998, "autumn", "CHEM", number=124)
-    e2 = entry("S1", 1998, "autumn", "MATH", number=124)
+    e1 = entry(1998, "autumn", "CHEM", number=124)
+    e2 = entry(1998, "autumn", "MATH", number=124)
     assert sorted([e2, e1], key=transcript_sort_key) == [e1, e2]
