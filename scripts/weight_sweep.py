@@ -37,7 +37,9 @@ def run(argv=None):
         bal = balance(label_all(records), seed=1)
         train, test = split(bal, 0.30, seed=2)
         schema = fit_schema(train, FeatureConfig())
-        _, x_tr, y_tr = encode_dataset(train, schema)
+        _, x_tr, y_tr = encode_dataset(train, schema, standardize=False)
+        schema.fit_scaling(x_tr)
+        x_tr = schema.standardize(x_tr)
         _, x_te, y_te = encode_dataset(test, schema)
         model = train_logistic(x_tr, y_tr, 0.01)
         _, auc = roc_and_auc(predict_proba(model, x_te), y_te)

@@ -11,9 +11,11 @@ pass. It owns only the file-level rules: required columns, cell syntax
 unknown student ids. Every domain rule (bounds, categories, grade-or-mark,
 positive credits, a non-empty transcript) is checked once, by the record
 constructors in `records`; every record is built by its constructor, and
-each distinct (year, quarter) pair goes through `term_index` once. Either
-kind of error is raised as a `DataFormatError` that names
-``file:line: column``, at the first bad row.
+the records are frozen and slotted. Each distinct text of a transcript or
+degree cell is parsed once per load (a (year, quarter) pair by
+`term_index`), and equal cells share one value object. Either kind of error
+is raised as a `DataFormatError` that names ``file:line: column``, at the
+first bad row.
 
 Registrar input files:
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -97,6 +100,20 @@ def _parse(kind: type, column: str, text: str):
         raise FieldError(column, f"expected {_EXPECTED[kind]}, got {text!r}") from None
 
 
+class _Parsed(dict):
+    """One kind of cell's values by text, each made by `parse` when its text is first looked up.
+
+    Equal cells thus share one value object. A parse that raises stores nothing.
+    """
+
+    def __init__(self, parse):
+        self.parse = parse
+
+    def __missing__(self, text):
+        self[text] = value = self.parse(text)
+        return value
+
+
 @contextmanager
 def _table(path: str | Path, columns: Sequence[str]):
     """The data rows of the CSV file at `path`, each as the stripped cells of `columns`.
@@ -150,29 +167,27 @@ def load_students(
             students[sid] = (reader.line_num, demographics, entry)
     transcripts: dict[str, list[TranscriptEntry]] = {sid: [] for sid in students}
     degrees: dict[str, list[int]] = {sid: [] for sid in students}
-    terms: dict[tuple[str, str], int] = {}
-
-    def term(year: str, quarter: str) -> int:
-        """`term_index` of the texts, checked once per distinct pair."""
-        if (year, quarter) not in terms:
-            terms[year, quarter] = term_index(_parse(int, "year", year), quarter)
-        return terms[year, quarter]
-
+    terms = _Parsed(lambda pair: term_index(_parse(int, "year", pair[0]), pair[1]))
+    departments = _Parsed(str)  # str(text) is text, so each code keeps its first text
+    course_numbers = _Parsed(partial(_parse, int, "course_number"))
+    credit_values = _Parsed(partial(_parse, float, "credits"))
+    grades = _Parsed(lambda text: _parse(float, "grade", text) if text else None)
+    marks = _Parsed(lambda text: text or None)
+    remedials = _Parsed(partial(_parse, bool, "remedial"))
     with _table(transcripts_file, TRANSCRIPT_COLUMNS) as (reader, rows):
         for sid, year, quarter, department, course, credits, grade, mark, remedial in rows:
             if sid not in students:
                 raise FieldError("student_id", f"transcript row for unknown student_id {sid!r}")
             transcripts[sid].append(TranscriptEntry(
-                term(year, quarter), department, _parse(int, "course_number", course),
-                _parse(float, "credits", credits), _parse(float, "grade", grade) if grade else None,
-                mark or None, _parse(bool, "remedial", remedial),
+                terms[year, quarter], departments[department], course_numbers[course], credit_values[credits],
+                grades[grade], marks[mark], remedials[remedial],
             ))
     if degrees_file is not None:
         with _table(degrees_file, DEGREE_COLUMNS) as (reader, rows):
             for sid, year, quarter in rows:
                 if sid not in students:
                     raise FieldError("student_id", f"degree row for unknown student_id {sid!r}")
-                degrees[sid].append(term(year, quarter))
+                degrees[sid].append(terms[year, quarter])
     records = []
     try:
         for sid, (line, demographics, entry) in students.items():

@@ -1,10 +1,11 @@
 """Domain records for registrar-style enrollment data.
 
-Everything here is immutable after construction and safe to share across
-threads. A calendar term is one integer, its index ``4 * year + quarter
-ordinal`` over a four-quarter year in calendar order (winter < spring <
-summer < autumn): terms compare and sort as integers, and the quarters
-elapsed between two terms are the difference of their indices.
+Every record is a frozen, slotted dataclass (no ``__dict__``): immutable
+after construction and safe to share across threads. A calendar term is
+one integer, its index ``4 * year + quarter ordinal`` over a four-quarter
+year in calendar order (winter < spring < summer < autumn): terms compare
+and sort as integers, and the quarters elapsed between two terms are the
+difference of their indices.
 `term_index` checks the term rules and builds the index; `year_quarter`
 gives back its calendar parts.
 
@@ -92,7 +93,7 @@ def year_quarter(term: int) -> tuple[int, str]:
     return term // 4, QUARTERS[term % 4]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Demographics:
     race: str
     gender: str
@@ -107,7 +108,7 @@ class Demographics:
         _check_year("birth_year", self.birth_year)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntryInfo:
     """Pre-college entry information known at matriculation."""
 
@@ -129,7 +130,7 @@ class EntryInfo:
         object.__setattr__(self, "first_term_majors", tuple(self.first_term_majors))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranscriptEntry:
     """One class on a student's transcript.
 
@@ -165,7 +166,7 @@ class TranscriptEntry:
 transcript_sort_key = attrgetter("term", "course_number", "department")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StudentRecord:
     """A student's demographics, entry info, transcript, and degree terms.
 

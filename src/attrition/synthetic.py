@@ -61,12 +61,33 @@ CANONICAL_DEPARTMENTS = ("MATH", "CHEM", "PHYS", "BIOL", "ENGL", "PSYCH")
 
 GROUND_TRUTH_COLUMNS = ("student_id", "latent_risk", "true_label", "true_quarters_enrolled")
 
-# Registrar-like marginals (balanced-cohort proportions).
-_RACE_P = (0.033, 0.016, 0.228, 0.568, 0.007, 0.148)
-_GENDER_P = (0.520, 0.479, 0.001)
-_PREV_P = (0.497, 0.255, 0.248)
-_RESIDENCY_P = (0.88, 0.06, 0.03, 0.01, 0.005, 0.005, 0.01)
-_QUARTER_P = (0.12, 0.08, 0.10, 0.70)  # winter, spring, summer, autumn
+_ENTRY_AGES = (17, 18, 19, 20, 21, 22, 25)
+
+# Each categorical draw's probabilities over its category indices (registrar-like marginals).
+_P = {
+    "race": (0.033, 0.016, 0.228, 0.568, 0.007, 0.148),
+    "gender": (0.520, 0.479, 0.001),
+    "previous_schooling": (0.497, 0.255, 0.248),
+    "residency": (0.88, 0.06, 0.03, 0.01, 0.005, 0.005, 0.01),
+    "quarter": (0.12, 0.08, 0.10, 0.70),  # winter, spring, summer, autumn
+    "entry_age": (0.08, 0.52, 0.18, 0.08, 0.06, 0.04, 0.04),
+    "n_declared": (0.35, 0.55, 0.10),
+    "credits": (0.1, 0.2, 0.3, 0.4),
+}
+
+
+def _cdf(p) -> np.ndarray:
+    """The CDF that `Generator.choice(p=p)` draws against: cumsum(p) over its last element."""
+    cdf = np.cumsum(p, dtype=float)
+    return cdf / cdf[-1]
+
+
+def _draw(rng: np.random.Generator, cdf: np.ndarray, size=None):
+    """`rng.choice(len(cdf), size, p=p)` for `cdf = _cdf(p)`: the same indices from the same uniforms."""
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
+_CDF = {name: _cdf(p) for name, p in _P.items()}
 
 _NEUTRAL_GPA_SIGNAL = 0.7
 
@@ -227,7 +248,6 @@ def _enrolled_offsets(rng: np.random.Generator, first_term: int, count: int) -> 
 
 
 _CREDIT_CHOICES = (2.0, 3.0, 4.0, 5.0)
-_CREDIT_P = (0.1, 0.2, 0.3, 0.4)
 
 
 def _draw_courses(
@@ -259,7 +279,7 @@ def _draw_courses(
 
     n = len(chosen)
     numbers = rng.integers(100, 300, size=n)
-    credits = rng.choice(4, size=n, p=_CREDIT_P)
+    credits = _draw(rng, _CDF["credits"], n)
     pass_fail = rng.random(n) < 0.05
     noise = rng.normal(0.0, cfg.grade_noise_sd, size=n)
 
@@ -312,14 +332,14 @@ def generate_cohort(cfg: SynthConfig) -> tuple[list[StudentRecord], list[GroundT
         rng = np.random.default_rng(student_seeds[i])
         sid = f"S{i + 1:06d}"
 
-        race = RACES[int(rng.choice(len(RACES), p=_RACE_P))]
-        gender = GENDERS[int(rng.choice(len(GENDERS), p=_GENDER_P))]
+        race = RACES[int(_draw(rng, _CDF["race"]))]
+        gender = GENDERS[int(_draw(rng, _CDF["gender"]))]
         hispanic = bool(rng.random() < 0.045)
-        residency = RESIDENCIES[int(rng.choice(7, p=_RESIDENCY_P))]
-        prev = PREVIOUS_SCHOOLING[int(rng.choice(3, p=_PREV_P))]
+        residency = RESIDENCIES[int(_draw(rng, _CDF["residency"]))]
+        prev = PREVIOUS_SCHOOLING[int(_draw(rng, _CDF["previous_schooling"]))]
         entry_year = int(rng.integers(cfg.entry_year_range[0], cfg.entry_year_range[1] + 1))
-        entry_age = int(rng.choice([17, 18, 19, 20, 21, 22, 25], p=[0.08, 0.52, 0.18, 0.08, 0.06, 0.04, 0.04]))
-        first_quarter = QUARTERS[int(rng.choice(4, p=_QUARTER_P))]
+        entry_age = _ENTRY_AGES[int(_draw(rng, _CDF["entry_age"]))]
+        first_quarter = QUARTERS[int(_draw(rng, _CDF["quarter"]))]
 
         ability = float(rng.normal(0.0, 1.0))
         if prev == "Freshman":
@@ -335,7 +355,7 @@ def generate_cohort(cfg: SynthConfig) -> tuple[list[StudentRecord], list[GroundT
         sat_observed = rng.random() < cfg.sat_observed_rate
         act_observed = rng.random() < cfg.act_observed_rate
 
-        n_declared = min(int(rng.choice([0, 1, 2], p=[0.35, 0.55, 0.10])), cfg.n_majors)
+        n_declared = min(int(_draw(rng, _CDF["n_declared"])), cfg.n_majors)
         declared = tuple(
             majors[int(j)] for j in rng.choice(cfg.n_majors, size=n_declared, replace=False, p=major_p)
         )

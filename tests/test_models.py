@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from attrition.config import RunConfig
 from attrition.evaluation import split
 from attrition.features import encode_dataset, fit_schema
-from attrition.io import write_json
+from attrition.io import load_students, write_json
 from attrition.labeling import balance, label_all
 from attrition.models import (
     ForestModel,
@@ -29,7 +29,7 @@ from attrition.models import (
     train_logistic,
     train_ridge,
 )
-from attrition.synthetic import generate_cohort
+from attrition.synthetic import SynthConfig, generate_cohort, write_cohort
 
 # ---------------------------------------------------------------------------
 # logistic regression
@@ -733,6 +733,31 @@ def test_forest_growth_memory_stays_bounded(default_train_matrix):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_a_loaded_cohort_keeps_lean_shared_records(tmp_path):
+    # slotted records and one shared value per distinct cell text keep about
+    # 120 B per transcript row; a __dict__ per record and fresh cell values
+    # per row kept 278 B
+    paths = write_cohort(*generate_cohort(SynthConfig(n_students=300, seed=11)), tmp_path)
+    tracemalloc.start()
+    try:
+        students = load_students(paths["students"], paths["transcripts"], paths["degrees"])
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    entries = [e for s in students for e in s.transcript]
+    assert retained / len(entries) < 160
+    department_objects: dict[str, set[int]] = {}
+    for e in entries:
+        department_objects.setdefault(e.department, set()).add(id(e.department))
+    assert len(department_objects) == 8
+    assert all(len(objects) == 1 for objects in department_objects.values())
+    s = students[0]
+    for record in (s, s.demographics, s.entry, s.transcript[0]):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, fields(record)[0].name, None)
 
 
 def test_forest_labels_must_be_zero_or_one():

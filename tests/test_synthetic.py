@@ -5,8 +5,11 @@ import pytest
 
 from attrition.labeling import window_allowance
 from attrition.synthetic import (
+    _P,
     GroundTruth,
     SynthConfig,
+    _cdf,
+    _draw,
     department_codes,
     generate_cohort,
     read_ground_truth,
@@ -70,6 +73,21 @@ def test_determinism_byte_identical_output(tmp_path):
     write_cohort(*generate_cohort(cfg), b)
     for name in ("students.csv", "transcripts.csv", "degrees.csv", "ground_truth.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(_P))
+def test_a_categorical_draw_equals_generator_choice(name):
+    # _draw runs what Generator.choice(p=) runs after its argument checks, so
+    # the indices and the generator's next state are the same
+    p, cdf = _P[name], _cdf(_P[name])
+    for seed in range(300):
+        for size in (None, 0, 1, 2, 5, 40):
+            by_choice, by_draw = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = by_choice.choice(len(p), size=size, p=p)
+            drawn = _draw(by_draw, cdf, size)
+            assert np.shape(drawn) == np.shape(expected)
+            assert np.array_equal(drawn, expected), (seed, size)
+            assert by_draw.random() == by_choice.random()
 
 
 def first_term_math_gpa(student):
