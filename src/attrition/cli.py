@@ -162,10 +162,9 @@ class _Run:
             fh.write(json.dumps(line, sort_keys=True) + "\n")
 
 
-def _load_cohort(run: _Run):
+def _cohort(run: _Run) -> list[Path]:
     paths = cohort_paths(run.cfg.data_dir)
-    cohort = (paths[key] for key in ("students", "transcripts", "degrees"))
-    return load_students(*(run.require(path, "generate") for path in cohort))
+    return [run.require(paths[key], "generate") for key in ("students", "transcripts", "degrees")]
 
 
 class _Rows(dict):
@@ -236,7 +235,7 @@ def stage_generate(cfg: RunConfig) -> list[Path]:
 
 def stage_label(cfg: RunConfig) -> list[Path]:
     run = _Run("label", cfg)
-    records = _load_cohort(run)
+    records = load_students(*_cohort(run))
     ds = label_all(records, cfg.synth.degree_credits)
     out = Path(cfg.out_dir) / "labels.csv"
     write_csv(
@@ -251,14 +250,14 @@ def stage_label(cfg: RunConfig) -> list[Path]:
 
 def stage_featurize(cfg: RunConfig) -> list[Path]:
     run = _Run("featurize", cfg)
-    records = _load_cohort(run)
+    cohort = _cohort(run)
     labels = _read_labels(run, "label")
-    ds = LabeledDataset(tuple((r, labels[r.student_id]) for r in records))
-    run.check_fresh()
-    balanced = balance(ds, cfg.sampling_seed)
+    run.check_fresh()  # so 'label' loaded this very cohort in full, and every row passed every rule
+    kept = dict(balance(LabeledDataset(tuple(labels.items())), cfg.sampling_seed).records)
+    balanced = LabeledDataset(tuple((r, kept[r.student_id]) for r in load_students(*cohort, only=kept)))
     train, test = split(balanced, cfg.test_fraction, cfg.split_seed)
     schema = fit_schema(train, cfg.feature_config())
-    ids, x_raw, _ = encode_dataset(balanced, schema, standardize=False)
+    ids, x_raw, _ = encode_dataset(balanced, schema)
     train_ids = {s.student_id for s, _ in train.records}
     is_train = [sid in train_ids for sid in ids]
     schema.fit_scaling(x_raw[is_train])  # split keeps the order of the training rows
@@ -376,12 +375,11 @@ def stage_screen(cfg: RunConfig) -> list[Path]:
 
 def stage_timing(cfg: RunConfig) -> list[Path]:
     run = _Run("timing", cfg)
-    records = _load_cohort(run)
+    cohort = _cohort(run)
     labels = _read_labels(run, "label")
-    ncs = LabeledDataset(
-        tuple((r, labels[r.student_id]) for r in records if not labels[r.student_id].graduated)
-    )
-    run.check_fresh()
+    run.check_fresh()  # as in featurize
+    nc_labels = {sid: label for sid, label in labels.items() if not label.graduated}
+    ncs = LabeledDataset(tuple((r, nc_labels[r.student_id]) for r in load_students(*cohort, only=nc_labels)))
     report = timing_experiment(
         ncs, cfg.timing_lambda_grid, cfg.split_seed,
         feature_config=cfg.feature_config(), folds=cfg.cv_folds,

@@ -257,10 +257,10 @@ def timing_experiment(
         raise ValueError(f"need at least 20 non-completions, got {len(ncs.records)}")
     train, test = split(ncs, test_fraction, seed)
     schema = fit_schema(train, feature_config)
-    _, x_train, _ = encode_dataset(train, schema, standardize=False)
+    _, x_train, _ = encode_dataset(train, schema)
     schema.fit_scaling(x_train)
     x_train = schema.standardize(x_train)
-    _, x_test, _ = encode_dataset(test, schema, standardize=True)
+    x_test = schema.standardize(encode_dataset(test, schema)[1])
     y_train = np.array([lab.quarters_enrolled for _, lab in train.records], dtype=float)
     y_test = np.array([lab.quarters_enrolled for _, lab in test.records], dtype=float)
 

@@ -342,13 +342,9 @@ def encode(student: StudentRecord, schema: FeatureSchema) -> np.ndarray:
     return np.array([v for _, values in schema.blocks for v in values(student, first)], dtype=float)
 
 
-def encode_dataset(
-    ds: LabeledDataset, schema: FeatureSchema, standardize: bool = True
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """(student_ids, X, y) where y = 1 marks non-completion (the positive class)."""
+def encode_dataset(ds: LabeledDataset, schema: FeatureSchema) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """(student_ids, raw X, y) where y = 1 marks non-completion (the positive class)."""
     ids = [s.student_id for s, _ in ds.records]
     x = np.array([encode(s, schema) for s, _ in ds.records])
-    if standardize:
-        x = schema.standardize(x)
     y = np.array([0.0 if lab.graduated else 1.0 for _, lab in ds.records])
     return ids, x, y

@@ -15,7 +15,8 @@ the records are frozen and slotted. Each distinct text of a transcript or
 degree cell is parsed once per load (a (year, quarter) pair by
 `term_index`), and equal cells share one value object. Either kind of error
 is raised as a `DataFormatError` that names ``file:line: column``, at the
-first bad row.
+first bad row. A load given `only` builds just those students; the rows of
+the rest get only the id rules, so it is for files a full load accepted.
 
 Registrar input files:
 
@@ -37,7 +38,7 @@ from contextlib import contextmanager
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .records import (
     Demographics,
@@ -116,7 +117,7 @@ class _Parsed(dict):
 
 @contextmanager
 def _table(path: str | Path, columns: Sequence[str]):
-    """The data rows of the CSV file at `path`, each as the stripped cells of `columns`.
+    """The data rows of the CSV file at `path`, each an iterator over the cells of `columns`, stripped as read.
 
     The header must name every one of `columns`; where it names one twice,
     the last occurrence wins. Blank lines are skipped, a short row reads
@@ -142,6 +143,7 @@ def load_students(
     students_file: str | Path,
     transcripts_file: str | Path,
     degrees_file: str | Path | None = None,
+    only: Container[str] | None = None,
 ) -> list[StudentRecord]:
     """Load student records from the registrar CSV files.
 
@@ -149,24 +151,29 @@ def load_students(
     empty, duplicate or unknown student ids. The record constructors check
     every domain rule, and their errors are reported here at the file, line
     and column of the row. Omitting the degrees file yields records with
-    empty ``degree_terms``.
+    empty ``degree_terms``. With `only`, just its students are built, in file
+    order; a row of any other student gets only the id checks, its other cells
+    unread. So pass `only` only for files that a full load has accepted.
     """
-    students: dict[str, tuple[int, Demographics, EntryInfo]] = {}
+    students: dict[str, tuple[int, Demographics, EntryInfo] | None] = {}  # None: a student outside `only`
     with _table(students_file, STUDENT_COLUMNS) as (reader, rows):
-        for sid, race, gender, hispanic, residency, birth_year, schooling, sat, act, transfer, majors, fig in rows:
-            if not sid:
+        for row in rows:
+            if not (sid := next(row)):  # each file's columns start with student_id
                 raise FieldError("student_id", "empty student_id")
             if sid in students:
                 raise FieldError("student_id", f"duplicate student_id {sid!r}")
-            demographics = Demographics(race, gender, _parse(bool, "hispanic", hispanic), residency,
-                                        _parse(int, "birth_year", birth_year))
-            entry = EntryInfo(schooling, _parse(int, "sat_score", sat) if sat else None,
-                              _parse(int, "act_score", act) if act else None,
-                              _parse(float, "transfer_credits", transfer),
-                              tuple(m for m in majors.split(";") if m), _parse(bool, "fig_member", fig))
-            students[sid] = (reader.line_num, demographics, entry)
-    transcripts: dict[str, list[TranscriptEntry]] = {sid: [] for sid in students}
-    degrees: dict[str, list[int]] = {sid: [] for sid in students}
+            students[sid] = None
+            if only is None or sid in only:
+                race, gender, hispanic, residency, birth_year, schooling, sat, act, transfer, majors, fig = row
+                demographics = Demographics(race, gender, _parse(bool, "hispanic", hispanic), residency,
+                                            _parse(int, "birth_year", birth_year))
+                entry = EntryInfo(schooling, _parse(int, "sat_score", sat) if sat else None,
+                                  _parse(int, "act_score", act) if act else None,
+                                  _parse(float, "transfer_credits", transfer),
+                                  tuple(m for m in majors.split(";") if m), _parse(bool, "fig_member", fig))
+                students[sid] = (reader.line_num, demographics, entry)
+    transcripts: dict[str, list[TranscriptEntry]] = {sid: [] for sid, kept in students.items() if kept}
+    degrees: dict[str, list[int]] = {sid: [] for sid in transcripts}
     terms = _Parsed(lambda pair: term_index(_parse(int, "year", pair[0]), pair[1]))
     departments = _Parsed(str)  # str(text) is text, so each code keeps its first text
     course_numbers = _Parsed(partial(_parse, int, "course_number"))
@@ -175,23 +182,28 @@ def load_students(
     marks = _Parsed(lambda text: text or None)
     remedials = _Parsed(partial(_parse, bool, "remedial"))
     with _table(transcripts_file, TRANSCRIPT_COLUMNS) as (reader, rows):
-        for sid, year, quarter, department, course, credits, grade, mark, remedial in rows:
-            if sid not in students:
+        for row in rows:
+            if (sid := next(row)) not in students:
                 raise FieldError("student_id", f"transcript row for unknown student_id {sid!r}")
-            transcripts[sid].append(TranscriptEntry(
-                terms[year, quarter], departments[department], course_numbers[course], credit_values[credits],
-                grades[grade], marks[mark], remedials[remedial],
-            ))
+            if sid in transcripts:
+                year, quarter, department, course, credits, grade, mark, remedial = row
+                transcripts[sid].append(TranscriptEntry(
+                    terms[year, quarter], departments[department], course_numbers[course], credit_values[credits],
+                    grades[grade], marks[mark], remedials[remedial],
+                ))
     if degrees_file is not None:
         with _table(degrees_file, DEGREE_COLUMNS) as (reader, rows):
-            for sid, year, quarter in rows:
-                if sid not in students:
+            for row in rows:
+                if (sid := next(row)) not in students:
                     raise FieldError("student_id", f"degree row for unknown student_id {sid!r}")
-                degrees[sid].append(terms[year, quarter])
+                if sid in degrees:
+                    year, quarter = row
+                    degrees[sid].append(terms[year, quarter])
     records = []
     try:
-        for sid, (line, demographics, entry) in students.items():
-            records.append(make_student(sid, demographics, entry, transcripts[sid], degrees[sid]))
+        for sid, entries in transcripts.items():
+            line, demographics, entry = students[sid]
+            records.append(make_student(sid, demographics, entry, entries, degrees[sid]))
     except FieldError as exc:
         raise DataFormatError(students_file, line, exc.field, str(exc)) from exc
     return records

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Generic, TypeVar
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .records import StudentRecord
 BASE_WINDOW_QUARTERS = 24
 QUARTERS_TO_DEGREE = 12
 DEFAULT_DEGREE_CREDITS = 180.0
+Student = TypeVar("Student")  # what a label is paired with: the student's record, or its id alone
 
 
 @dataclass(frozen=True)
@@ -31,8 +33,8 @@ class OutcomeLabel:
 
 
 @dataclass(frozen=True)
-class LabeledDataset:
-    records: tuple[tuple[StudentRecord, OutcomeLabel], ...]
+class LabeledDataset(Generic[Student]):
+    records: tuple[tuple[Student, OutcomeLabel], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))
@@ -83,11 +85,11 @@ def label_all(
     return LabeledDataset(tuple((s, label_outcome(s, degree_credits)) for s in records))
 
 
-def balance(ds: LabeledDataset, seed: int) -> LabeledDataset:
+def balance(ds: LabeledDataset[Student], seed: int) -> LabeledDataset[Student]:
     """Downsample the majority class to the minority size, without replacement.
 
     The minority class is kept whole; membership is deterministic given the
-    seed and record order is preserved.
+    seed and the labels alone, and record order is preserved.
     """
     grad_idx = [i for i, (_, lab) in enumerate(ds.records) if lab.graduated]
     nc_idx = [i for i, (_, lab) in enumerate(ds.records) if not lab.graduated]

@@ -57,9 +57,9 @@ def encoded_5k(cohort_5k):
     bal = balance(ds, seed=303)
     train, test = split(bal, 0.30, seed=404)
     schema = fit_schema(train, FeatureConfig())
-    _, x_train_raw, y_train = encode_dataset(train, schema, standardize=False)
+    _, x_train_raw, y_train = encode_dataset(train, schema)
     schema.fit_scaling(x_train_raw)
-    _, x_test_raw, y_test = encode_dataset(test, schema, standardize=False)
+    _, x_test_raw, y_test = encode_dataset(test, schema)
     x_train_std, x_test_std = schema.standardize(x_train_raw), schema.standardize(x_test_raw)
     return {
         "schema": schema,

@@ -376,11 +376,14 @@ def cohort_args(tmp_path, seed, out="out"):
 
 
 @pytest.mark.parametrize("stage", ["featurize", "timing"])
-def test_labels_of_a_smaller_cohort_name_the_student_and_label(tmp_path, capsys, stage):
+def test_labels_of_a_smaller_cohort_are_refused_before_the_load(tmp_path, capsys, monkeypatch, stage):
     args = run_stages(tmp_path, (200, ["generate", "label"]), (250, ["generate"]))
+    monkeypatch.setattr("attrition.cli.load_students", None)  # a load would raise TypeError
     capsys.readouterr()
     assert run([stage, *args]) == 1
-    assert capsys.readouterr().err == f"error: {stage}: labels.csv has no row for student S000201; rerun 'label'\n"
+    assert capsys.readouterr().err == (
+        f"error: {stage}: labels.csv was made from other degrees.csv, students.csv, transcripts.csv; rerun 'label'\n"
+    )
 
 
 @pytest.mark.parametrize("stage", ["featurize", "timing"])
@@ -397,6 +400,27 @@ def test_labels_of_another_cohort_of_the_same_size_are_refused(tmp_path, capsys,
     )
     assert run(["label", *args]) == 0
     assert run([stage, *args]) == 0
+
+
+@pytest.mark.parametrize("grade", ["9.9", "3.1"], ids=["malformed", "valid"])
+@pytest.mark.parametrize("stage", ["featurize", "timing"])
+def test_a_transcript_edited_after_label_is_refused_before_the_load(tmp_path, capsys, stage, grade):
+    # the edited row belongs to a student that both stages skip: a graduate that balancing drops
+    args = cohort_args(tmp_path, 77)
+    for sub in ("generate", "label", "featurize"):
+        assert run([sub, *args]) == 0
+    out, transcripts = tmp_path / "out", tmp_path / "data" / "transcripts.csv"
+    featurized = {line.split(",")[0] for line in (out / "features.csv").read_text().splitlines()[1:]}
+    labels = [line.split(",") for line in (out / "labels.csv").read_text().splitlines()[1:]]
+    skipped = {sid for sid, graduated, *_ in labels if graduated == "1" and sid not in featurized}
+    rows = [line.split(",") for line in transcripts.read_text().splitlines()]
+    next(row for row in rows if row[0] in skipped and row[6] == "3.0")[6] = grade  # the grade column
+    transcripts.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    capsys.readouterr()
+    assert run([stage, *args]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {stage}: labels.csv was made from other transcripts.csv; rerun 'label'\n"
+    )
 
 
 def test_features_of_other_labels_name_the_student_and_featurize(tmp_path, capsys):

@@ -383,16 +383,16 @@ def test_no_information_flow_from_test_rows(cohort_small, tmp_path):
     ds = balance(label_all(records, cfg.degree_credits), seed=1)
     train, test = split(ds, 0.30, seed=2)
     schema_a = fit_schema(train, FeatureConfig())
-    schema_a.fit_scaling(encode_dataset(train, schema_a, standardize=False)[1])
     _, x_a, y_a = encode_dataset(train, schema_a)
-    model_a = train_logistic(x_a, y_a, 0.1)
+    schema_a.fit_scaling(x_a)
+    model_a = train_logistic(schema_a.standardize(x_a), y_a, 0.1)
 
     # drop one test row; nothing fitted may change
     smaller_test = LabeledDataset(test.records[1:])
     schema_b = fit_schema(train, FeatureConfig())
-    schema_b.fit_scaling(encode_dataset(train, schema_b, standardize=False)[1])
     _, x_b, y_b = encode_dataset(train, schema_b)
-    model_b = train_logistic(x_b, y_b, 0.1)
+    schema_b.fit_scaling(x_b)
+    model_b = train_logistic(schema_b.standardize(x_b), y_b, 0.1)
     schema_a.to_json(tmp_path / "a.json")
     schema_b.to_json(tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()

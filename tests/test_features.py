@@ -96,7 +96,7 @@ def test_standardizing_before_fit_scaling_is_refused(cohort_small):
     ds = label_all(records[:50])
     schema = fit_schema(ds, FeatureConfig())
     with pytest.raises(ValueError, match="call fit_scaling first"):
-        encode_dataset(ds, schema, standardize=True)
+        schema.standardize(encode_dataset(ds, schema)[1])
 
 
 def test_constant_sat_imputes_constant():
@@ -227,8 +227,9 @@ def test_encoding_matrix_standardized_and_finite(cohort_small):
     _, records, _ = cohort_small
     ds = label_all(records)
     schema = fit_schema(ds, FeatureConfig())
-    schema.fit_scaling(encode_dataset(ds, schema, standardize=False)[1])
-    _, x, _ = encode_dataset(ds, schema, standardize=True)
+    _, x_raw, _ = encode_dataset(ds, schema)
+    schema.fit_scaling(x_raw)
+    x = schema.standardize(x_raw)
     assert np.isfinite(x).all()
     mask = np.array([d.standardize for d in schema.descriptors])
     sds = x[:, mask].std(axis=0)
@@ -253,7 +254,7 @@ def test_schema_hash_stable_under_test_encoding(cohort_small, tmp_path):
     train = LabeledDataset(ds.records[:300])
     test = LabeledDataset(ds.records[300:])
     schema = fit_schema(train, FeatureConfig())
-    schema.fit_scaling(encode_dataset(train, schema, standardize=False)[1])
+    schema.fit_scaling(encode_dataset(train, schema)[1])
     schema.to_json(tmp_path / "before.json")
     encode_dataset(test, schema)
     schema.to_json(tmp_path / "after.json")

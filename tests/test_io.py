@@ -3,11 +3,12 @@ import hashlib
 import inspect
 import re
 import tempfile
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from attrition.io import (
@@ -501,8 +502,8 @@ BAD_TEXTS = {
 
 
 @st.composite
-def registrar_files(draw):
-    """Small registrar files, valid or with 1-3 faults, written in varied but equivalent layouts."""
+def registrar_files(draw, max_faults=3):
+    """Small registrar files, valid or with 1 to `max_faults` faults, written in varied but equivalent layouts."""
     pick = lambda values: draw(st.sampled_from(values))  # noqa: E731
     tables: dict[str, list[dict[str, str]]] = {name: [] for name in COLUMNS}
     for i in range(draw(st.integers(1, 4))):
@@ -528,7 +529,7 @@ def registrar_files(draw):
             tables["degrees"].append({"student_id": sid, "year": pick(["2001", "2004"]), "quarter": pick(QUARTERS)})
     columns = {name: list(draw(st.permutations(cols))) for name, cols in COLUMNS.items()}
     short: dict[tuple[str, int], int] = {}
-    faults = draw(st.integers(0, 3))
+    faults = draw(st.integers(0, max_faults))
     for _ in range(faults):
         name = pick(["students", "transcripts", "transcripts", "degrees"][: 4 if tables["degrees"] else 3])
         rows = tables[name]
@@ -585,20 +586,61 @@ def outcome(load, paths):
         return type(exc).__name__, str(exc)
 
 
+def write_registrar_files(tmp: str, files, with_degrees: bool) -> list[Path]:
+    tables, columns, short, layouts = files
+    paths = []
+    for name in COLUMNS:
+        path = Path(tmp) / f"{name}.csv"
+        file_short = {row: n for (file, row), n in short.items() if file == name}
+        write_registrar_file(path, columns[name], tables[name], file_short, layouts[name])
+        paths.append(path)
+    return paths if with_degrees else paths[:-1]
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(registrar_files(), st.booleans())
 def test_loader_equals_the_row_by_row_oracle(files, with_degrees):
-    tables, columns, short, layouts = files
     with tempfile.TemporaryDirectory() as tmp:
-        paths = []
-        for name in COLUMNS:
-            path = Path(tmp) / f"{name}.csv"
-            file_short = {row: n for (file, row), n in short.items() if file == name}
-            write_registrar_file(path, columns[name], tables[name], file_short, layouts[name])
-            paths.append(path)
-        if not with_degrees:
-            paths.pop()
+        paths = write_registrar_files(tmp, files, with_degrees)
         assert outcome(load_students, paths) == outcome(reference_load_students, paths)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(registrar_files(max_faults=0), st.booleans(), st.data())
+def test_a_load_of_only_some_students_equals_the_oracle_filtered(files, with_degrees, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_registrar_files(tmp, files, with_degrees)
+        full = outcome(reference_load_students, paths)
+        assume(isinstance(full, list))  # `only` is for files that a full load accepts
+        ids = [r.student_id for r in full]
+        for only in (set(), set(ids), data.draw(st.sets(st.sampled_from([*ids, "GHOST"])))):
+            assert load_students(*paths, only=only) == [r for r in full if r.student_id in only]
+
+
+@pytest.mark.parametrize("file, row", [
+    ("students", ",Asian,Female,0,Resident,1980,Freshman,,,0,,0"),
+    ("students", "S2,Caucasian,Male,1,NonResident,1979,Transfer2Yr,,28,45.0,,0"),
+    ("transcripts", "GHOST,1998,autumn,MATH,124,5.0,3.1,,0"),
+    ("degrees", "GHOST,2002,spring"),
+], ids=["empty-id", "duplicate-id", "unknown-transcript-id", "unknown-degree-id"])
+def test_a_skipped_student_row_still_gets_the_id_rules(tmp_path, file, row):
+    students, transcripts = two_student_files(tmp_path)
+    degrees = tmp_path / "degrees.csv"
+    write(degrees, ["student_id,year,quarter", "S1,2002,spring"])
+    path = {"students": students, "transcripts": transcripts, "degrees": degrees}[file]
+    write(path, path.read_text().splitlines() + [row])
+    expected = outcome(reference_load_students, (students, transcripts, degrees))
+    assert expected[0] == "DataFormatError"
+    assert outcome(partial(load_students, only={"S1"}), (students, transcripts, degrees)) == expected
+
+
+def test_the_other_cells_of_a_skipped_student_are_not_read(tmp_path):
+    students, transcripts = two_student_files(tmp_path)
+    lines = transcripts.read_text().splitlines()
+    lines[4] = "S2,1998,autumn,MATH,098,5.0,9.9,,1"  # a grade a full load refuses
+    write(transcripts, lines)
+    assert "above maximum" in load_error(students, transcripts)
+    assert [r.student_id for r in load_students(students, transcripts, only={"S1"})] == ["S1"]
 
 
 def test_loader_equals_the_oracle_on_the_5k_cohort(tmp_path, cohort_5k):

@@ -144,7 +144,7 @@ def default_train_matrix():
     balanced = balance(label_all(records, cfg.synth.degree_credits), cfg.sampling_seed)
     train, _ = split(balanced, cfg.test_fraction, cfg.split_seed)
     schema = fit_schema(train, cfg.feature_config())
-    _, x, y = encode_dataset(train, schema, standardize=False)
+    _, x, y = encode_dataset(train, schema)
     schema.fit_scaling(x)
     x = schema.standardize(x)
     assert x.shape == (387, 90)
