@@ -142,7 +142,8 @@ class _Run:
 
     def manifest(self, outputs: list[Path]) -> None:
         """Append the stage's manifest line: hashes of its inputs and of its outputs, the
-        seeds, its wall time so far and the process's peak RSS so far."""
+        seeds, its wall time so far and the peak RSS so far of the process or of its largest
+        waited-for child (the CV workers of `train`)."""
         cfg = self.cfg
         line = {
             "stage": self.stage,
@@ -156,7 +157,8 @@ class _Run:
                 "synth": cfg.synth.seed,
             },
             "wall_s": round(time.perf_counter() - self.started, 3),
-            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+            "peak_rss_mb": round(max(resource.getrusage(who).ru_maxrss
+                                     for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024, 1),
         }
         with open(Path(cfg.out_dir) / "manifest.jsonl", "a", encoding="utf-8") as fh:
             fh.write(json.dumps(line, sort_keys=True) + "\n")

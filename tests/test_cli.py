@@ -1,8 +1,12 @@
 import hashlib
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,14 @@ def write_config(tmp_path, **overrides):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_python(args, cwd, preexec_fn=None, **env):
+    """`python <args>` in a fresh interpreter in `cwd`, on this checkout's src, with `env` added."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=dict(os.environ, PYTHONPATH=path, **env),
+                          preexec_fn=preexec_fn, capture_output=True, text=True, timeout=300)
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +283,42 @@ def test_unknown_config_field_is_an_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "unknown config fields" in captured.err
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_the_cpu_count_changes_no_output_byte(tmp_path):
+    # OpenBLAS sizes its thread pool from the CPU set too, and that moves the last bits of the
+    # logistic-regression files (ROADMAP); both runs hold it at one thread, so only the number
+    # of CV workers differs between them
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": {"n_students": 400}, "forest_n_trees": 10}), encoding="utf-8")
+    cpu = min(os.sched_getaffinity(0))
+    digests = {}
+    for name, pin in (("one_cpu", lambda: os.sched_setaffinity(0, {cpu})), ("all_cpus", None)):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        done = run_python(["-m", "attrition.cli", "pipeline", "--seed", 201, "--config", config,
+                           "--data", "data", "--out", "out"], run_dir, preexec_fn=pin, OPENBLAS_NUM_THREADS="1")
+        assert done.returncode == 0, done.stderr
+        digests[name] = {str(path.relative_to(run_dir)): hashlib.sha256(path.read_bytes()).hexdigest()
+                         for path in run_dir.rglob("*") if path.is_file() and path.name != "manifest.jsonl"}
+    assert "out/cv_random_forest.csv" in digests["one_cpu"]
+    assert digests["one_cpu"] == digests["all_cpus"]
+
+
+def test_label_imports_no_process_pool(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": {"n_students": 200}}), encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from attrition.cli import main\n"
+        "for stage in ('generate', 'label'):\n"
+        f"    assert main([stage, '--config', {str(config)!r}, '--data', 'data', '--out', 'out']) == 0\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
+    )
+    done = run_python(["-c", script], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_cv_failure_names_model_and_fold(tmp_path, capsys):

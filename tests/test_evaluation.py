@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +188,29 @@ def test_cv_tune_knn_means_equal_one_fit_per_k():
         x, y, grid, 5, 15, lambda k, x_tr, y_tr, x_va, _: knn_predict(fit_knn(x_tr, y_tr, k), x_va)
     )
     assert means == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="the folds run in workers only with two CPUs or more")
+@pytest.mark.parametrize("kind", ["random_forest", "knn"])
+def test_a_failing_worker_fold_raises_the_in_process_error(kind, monkeypatch):
+    # a NaN row in fold 1's validation block: fold 1 scores, every later fold's training rows are refused
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=(40, 3))
+    y = (np.arange(40) % 2).astype(float)
+    x[kfold_indices(40, 5, 19)[0][0], 1] = np.nan
+    grid = [1, 3] if kind == "knn" else [1, 2]
+
+    with pytest.raises(ValueError) as pooled:
+        cv_tune(x, y, kind, grid, folds=5, seed=19, forest_params=ForestParams(n_trees=3))
+    assert multiprocessing.active_children() == []
+    assert pooled.value.__cause__.__cause__ is not None  # the worker's traceback
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with pytest.raises(ValueError) as in_process:
+        cv_tune(x, y, kind, grid, folds=5, seed=19, forest_params=ForestParams(n_trees=3))
+    assert in_process.value.__cause__.__cause__ is None
+    assert str(pooled.value) == str(in_process.value) == f"{kind} fold 2/5: training data contains non-finite values"
 
 
 def test_cv_tune_linear_means_equal_one_fit_per_value():
