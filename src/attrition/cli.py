@@ -19,7 +19,9 @@ import argparse
 import hashlib
 import json
 import resource
+import shutil
 import sys
+import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -50,7 +52,11 @@ from .models import (
     train_forest,
     train_logistic,
 )
+from . import synthetic
 from .synthetic import cohort_paths
+from .workers import ordered_map, usable_cpus
+
+BLOCK_STUDENTS = 1000  # the most students one block of `generate` draws and holds
 
 SUBCOMMANDS = ("generate", "label", "featurize", "train", "evaluate", "screen", "timing", "pipeline")
 
@@ -224,12 +230,31 @@ def _matrices(run: _Run):
 # ---------------------------------------------------------------------------
 # stages
 
-def stage_generate(cfg: RunConfig) -> list[Path]:
-    from .synthetic import generate_cohort, write_cohort
+def _write_block(block: range, synth: synthetic.SynthConfig, parts: Path) -> dict[str, Path]:
+    return synthetic.write_cohort(*synthetic.generate_cohort(synth, block), parts / str(block.start))
 
+
+def stage_generate(cfg: RunConfig) -> list[Path]:
+    """Draw and write the cohort in contiguous blocks of students, one forked worker per usable
+    CPU, each block into its own directory; then join each CSV's parts in block order under one
+    header. A block is a slice of the whole cohort, so the bytes do not depend on the CPU count."""
     run = _Run("generate", cfg)
-    records, truths = generate_cohort(cfg.synth)
-    paths = write_cohort(records, truths, cfg.data_dir)
+    synthetic.signal_kinds(cfg.synth)  # a config error stops the stage before any worker starts
+    n = cfg.synth.n_students
+    count = min(n, max(usable_cpus(), -(-n // BLOCK_STUDENTS)))
+    blocks = [range(k * n // count, (k + 1) * n // count) for k in range(count)]
+    paths = cohort_paths(cfg.data_dir)
+    Path(cfg.data_dir).mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".generate-", dir=cfg.data_dir) as parts:
+        with ordered_map(_write_block, blocks, (cfg.synth, Path(parts))) as written:
+            block_paths = list(written)  # every block, before any output is touched
+        for role, path in paths.items():
+            with open(path, "wb") as joined:
+                for k, block_path in enumerate(block_paths):
+                    with open(block_path[role], "rb") as part:
+                        if k:
+                            part.readline()  # the header, written once
+                        shutil.copyfileobj(part, joined)
     outputs = list(paths.values())
     run.manifest(outputs)
     return outputs

@@ -6,19 +6,17 @@ come from a seeded shuffle followed by contiguous blocks. ROC curves sweep
 every distinct score threshold, and the trapezoidal AUC agrees with the
 Mann-Whitney pair statistic (ties count one half) to float precision.
 
-`cv_tune` scores the random-forest and kNN folds in forked worker processes,
-one per CPU the process may use, and reads their scores back in fold order,
-so no result depends on the CPU count. Logistic-regression and ridge folds
-stay in-process: their fits call OpenBLAS, which runs threads of its own,
-and with its folds in two workers the logistic search took 1.0-3.2 s instead
-of 0.47 s (oversubscribed CPUs).
+`cv_tune` scores the random-forest and kNN folds in forked worker processes
+(`workers.ordered_map`), one per CPU the process may use, and reads their
+scores back in fold order, so no result depends on the CPU count.
+Logistic-regression and ridge folds stay in-process: their fits call
+OpenBLAS, which runs threads of its own, and with its folds in two workers
+the logistic search took 1.0-3.2 s instead of 0.47 s (oversubscribed CPUs).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -37,6 +35,7 @@ from .models import (
     train_logistic,
     train_ridge,
 )
+from .workers import ordered_map
 
 @dataclass(frozen=True)
 class ModelEval:
@@ -162,17 +161,8 @@ def _grid_scores(kind: str, grid: list, x_tr, y_tr, x_va, forest_seed: int, para
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-_worker_args: tuple = ()  # in a CV worker, the arguments of its `cv_tune`, set by the pool's initializer
-
-
-def _start_worker(*args) -> None:
-    global _worker_args
-    _worker_args = args
-
-
-def _fold_grid_scores(f: int, args: tuple = ()) -> list:
-    """`_grid_scores` of fold `f`, fitted on the other folds' rows; `args` default to the worker's."""
-    kind, values, x, y, fold_idx, forest_seeds, params = args or _worker_args
+def _fold_grid_scores(f: int, kind: str, values: list, x, y, fold_idx, forest_seeds, params) -> list:
+    """`_grid_scores` of fold `f`, fitted on the other folds' rows."""
     tr = np.setdiff1d(np.arange(len(y)), fold_idx[f], assume_unique=True)
     return _grid_scores(kind, values, x[tr], y[tr], x[fold_idx[f]], forest_seeds[f], params)
 
@@ -194,8 +184,8 @@ def cv_tune(
     are fitted once for the whole grid where the learner allows it; the
     forest's `max_depth` comes from the grid, not from `forest_params`.
 
-    Random-forest and kNN folds run in a pool of forked workers, one per CPU
-    in `os.sched_getaffinity` up to `folds`, which inherit x and y: a task
+    Random-forest and kNN folds run in `workers.ordered_map`'s forked workers,
+    one per usable CPU up to `folds`, which inherit x and y: a task
     carries only its fold number. Logistic regression and ridge, whose fits
     run OpenBLAS threads, stay in-process, as does every search with one CPU
     or without `fork`. This process computes every AUC, RMSE and mean from
@@ -209,21 +199,10 @@ def cv_tune(
     values = sorted(set(grid))
     fold_idx = kfold_indices(len(y), folds, seed)
     forest_seeds = [int(s.generate_state(1, dtype=np.uint64)[0]) for s in np.random.SeedSequence(seed).spawn(folds)]
-    args = (kind, values, x, y, fold_idx, forest_seeds, params)
-    workers = min(folds, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+    shared = (kind, values, x, y, fold_idx, forest_seeds, params)
 
     fold_scores: list[list[float]] = [[] for _ in values]
-    with ExitStack() as stack:
-        results = (_fold_grid_scores(f, args) for f in range(folds))
-        if kind in ("random_forest", "knn") and workers > 1:
-            import multiprocessing  # not at the top: it costs every stage process ~1.3 MB
-            from concurrent.futures import ProcessPoolExecutor
-
-            if "fork" in multiprocessing.get_all_start_methods():
-                pool = stack.enter_context(ProcessPoolExecutor(
-                    workers, multiprocessing.get_context("fork"), initializer=_start_worker, initargs=args))
-                stack.callback(pool.shutdown, cancel_futures=True)  # runs first: pending folds are dropped
-                results = pool.map(_fold_grid_scores, range(folds))
+    with ordered_map(_fold_grid_scores, range(folds), shared, parallel=kind in ("random_forest", "knn")) as results:
         for f, va in enumerate(fold_idx):
             try:
                 for per_value, scores in zip(fold_scores, next(results)):

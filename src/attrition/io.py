@@ -117,13 +117,15 @@ class _Parsed(dict):
 
 @contextmanager
 def _table(path: str | Path, columns: Sequence[str]):
-    """The data rows of the CSV file at `path`, each an iterator over the cells of `columns`, stripped as read.
+    """The data rows of the CSV file at `path`, each as its id (the cell of `columns[0]`, stripped)
+    and its raw cells, with a function that reads a row's other `columns`, stripped.
 
-    The header must name every one of `columns`; where it names one twice,
-    the last occurrence wins. Blank lines are skipped, a short row reads
-    blank in its missing cells, and the extra cells of a long row are
-    ignored, as `csv.DictReader` does. A FieldError raised in the block is
-    reported as a DataFormatError at the line of the row being read.
+    So a row whose student is not wanted costs only its id. The header must
+    name every one of `columns`; where it names one twice, the last
+    occurrence wins. Blank lines are skipped, a short row reads blank in its
+    missing cells, and the extra cells of a long row are ignored, as
+    `csv.DictReader` does. A FieldError raised in the block is reported as a
+    DataFormatError at the line of the row being read.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -132,9 +134,10 @@ def _table(path: str | Path, columns: Sequence[str]):
         if missing:
             raise DataFormatError(path, 1, missing[0], "missing required column")
         position = {name: i for i, name in enumerate(header)}
-        cells, pad = itemgetter(*(position[c] for c in columns)), [""] * len(header)
+        at, others, pad = position[columns[0]], itemgetter(*(position[c] for c in columns[1:])), [""] * len(header)
         try:
-            yield reader, (map(str.strip, cells(row + pad)) for row in reader if row)
+            yield (reader, ((row[at].strip() if at < len(row) else "", row) for row in reader if row),
+                   lambda row: map(str.strip, others(row + pad)))
         except FieldError as exc:
             raise DataFormatError(path, reader.line_num, exc.field, str(exc)) from exc
 
@@ -156,15 +159,15 @@ def load_students(
     unread. So pass `only` only for files that a full load has accepted.
     """
     students: dict[str, tuple[int, Demographics, EntryInfo] | None] = {}  # None: a student outside `only`
-    with _table(students_file, STUDENT_COLUMNS) as (reader, rows):
-        for row in rows:
-            if not (sid := next(row)):  # each file's columns start with student_id
+    with _table(students_file, STUDENT_COLUMNS) as (reader, rows, cells):
+        for sid, row in rows:
+            if not sid:
                 raise FieldError("student_id", "empty student_id")
             if sid in students:
                 raise FieldError("student_id", f"duplicate student_id {sid!r}")
             students[sid] = None
             if only is None or sid in only:
-                race, gender, hispanic, residency, birth_year, schooling, sat, act, transfer, majors, fig = row
+                race, gender, hispanic, residency, birth_year, schooling, sat, act, transfer, majors, fig = cells(row)
                 demographics = Demographics(race, gender, _parse(bool, "hispanic", hispanic), residency,
                                             _parse(int, "birth_year", birth_year))
                 entry = EntryInfo(schooling, _parse(int, "sat_score", sat) if sat else None,
@@ -181,23 +184,23 @@ def load_students(
     grades = _Parsed(lambda text: _parse(float, "grade", text) if text else None)
     marks = _Parsed(lambda text: text or None)
     remedials = _Parsed(partial(_parse, bool, "remedial"))
-    with _table(transcripts_file, TRANSCRIPT_COLUMNS) as (reader, rows):
-        for row in rows:
-            if (sid := next(row)) not in students:
+    with _table(transcripts_file, TRANSCRIPT_COLUMNS) as (reader, rows, cells):
+        for sid, row in rows:
+            if sid not in students:
                 raise FieldError("student_id", f"transcript row for unknown student_id {sid!r}")
             if sid in transcripts:
-                year, quarter, department, course, credits, grade, mark, remedial = row
+                year, quarter, department, course, credits, grade, mark, remedial = cells(row)
                 transcripts[sid].append(TranscriptEntry(
                     terms[year, quarter], departments[department], course_numbers[course], credit_values[credits],
                     grades[grade], marks[mark], remedials[remedial],
                 ))
     if degrees_file is not None:
-        with _table(degrees_file, DEGREE_COLUMNS) as (reader, rows):
-            for row in rows:
-                if (sid := next(row)) not in students:
+        with _table(degrees_file, DEGREE_COLUMNS) as (reader, rows, cells):
+            for sid, row in rows:
+                if sid not in students:
                     raise FieldError("student_id", f"degree row for unknown student_id {sid!r}")
                 if sid in degrees:
-                    year, quarter = row
+                    year, quarter = cells(row)
                     degrees[sid].append(terms[year, quarter])
     records = []
     try:

@@ -19,7 +19,10 @@ where every signal value lies in [0, 1]. Supported signal keys:
 
 Keeping signals non-negative makes cohort dropout rates monotone in any
 single weight when the seed is held fixed: every student's pre-label draws
-come from an isolated substream, so only the label comparison moves.
+come from an isolated substream, so only the label comparison moves. The
+substreams also make a block of students a slice: `generate_cohort` given a
+range of students returns exactly the whole cohort's records and truths for
+that range, so the `generate` stage draws and writes blocks in parallel.
 
 Dropouts enroll in ``clamp(round(a + b * risk + noise), 1, 24)`` distinct
 quarters; graduates earn a degree inside their transfer-adjusted window. A
@@ -203,8 +206,9 @@ def major_codes(n: int) -> tuple[str, ...]:
     return tuple(f"MAJ{i:03d}" for i in range(1, n + 1))
 
 
-def _parse_signal_keys(cfg: SynthConfig, departments: tuple[str, ...]) -> dict[str, str]:
-    """Validate signal keys; returns {key: kind}."""
+def signal_kinds(cfg: SynthConfig) -> dict[str, str]:
+    """The kind of each of `cfg`'s signal weights, by key; a ValueError for a key the generator lacks."""
+    departments = department_codes(cfg.n_departments)
     kinds: dict[str, str] = {}
     dept_set = set(departments)
     for key in cfg.signal_weights:
@@ -300,25 +304,26 @@ def _draw_courses(
     return entries
 
 
-def generate_cohort(cfg: SynthConfig) -> tuple[list[StudentRecord], list[GroundTruth]]:
+def generate_cohort(
+    cfg: SynthConfig, students: range | None = None
+) -> tuple[list[StudentRecord], list[GroundTruth]]:
     """Generate a cohort plus its dropout ground truth, deterministic in the seed.
 
     Each student consumes an independent substream of the seeded generator,
-    so one student's draws never shift another's.
+    so one student's draws never shift another's. That makes a block a slice:
+    with `students`, a range inside ``range(cfg.n_students)``, the result is
+    the whole cohort's records and truths sliced to that range.
     """
     departments = department_codes(cfg.n_departments)
     majors = major_codes(cfg.n_majors)
-    signal_kinds = _parse_signal_keys(cfg, departments)
-    signal_departments = tuple(
-        key.split(":", 1)[1] for key, kind in signal_kinds.items() if kind == "gpa"
-    )
+    kinds = signal_kinds(cfg)
+    signal_departments = tuple(key.split(":", 1)[1] for key, kind in kinds.items() if kind == "gpa")
     base_logit = math.log(cfg.dropout_base_rate / (1.0 - cfg.dropout_base_rate)) if 0 < cfg.dropout_base_rate < 1 else (
         math.inf if cfg.dropout_base_rate >= 1 else -math.inf
     )
 
     root = np.random.SeedSequence(cfg.seed)
     cohort_rng = np.random.default_rng(root.spawn(1)[0])
-    student_seeds = root.spawn(cfg.n_students + 1)[1:]
 
     difficulties = cohort_rng.uniform(0.0, 0.7, size=cfg.n_departments)
     dept_index = {d: i for i, d in enumerate(departments)}
@@ -328,8 +333,9 @@ def generate_cohort(cfg: SynthConfig) -> tuple[list[StudentRecord], list[GroundT
 
     records: list[StudentRecord] = []
     truths: list[GroundTruth] = []
-    for i in range(cfg.n_students):
-        rng = np.random.default_rng(student_seeds[i])
+    for i in range(cfg.n_students) if students is None else students:
+        # root.spawn(n_students + 1)[1:][i], built alone: the child with spawn key (i + 2,)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i + 2,)))
         sid = f"S{i + 1:06d}"
 
         race = RACES[int(_draw(rng, _CDF["race"]))]
@@ -370,7 +376,7 @@ def generate_cohort(cfg: SynthConfig) -> tuple[list[StudentRecord], list[GroundT
 
         logit = base_logit
         for key, weight in cfg.signal_weights.items():
-            kind = signal_kinds[key]
+            kind = kinds[key]
             if kind == "gpa":
                 dept = key.split(":", 1)[1]
                 gpa = department_tuple(first_entries, dept)[3]

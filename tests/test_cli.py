@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
 import shutil
@@ -10,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from attrition import cli, synthetic
 from attrition.cli import main
+from attrition.synthetic import SynthConfig, generate_cohort, write_cohort
 
 FAST_CONFIG = {
     "lr_lambda_grid": [0.001, 0.1],
@@ -287,9 +290,10 @@ def test_unknown_config_field_is_an_error(tmp_path, capsys):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
 def test_the_cpu_count_changes_no_output_byte(tmp_path):
-    # OpenBLAS sizes its thread pool from the CPU set too, and that moves the last bits of the
-    # logistic-regression files (ROADMAP); both runs hold it at one thread, so only the number
-    # of CV workers differs between them
+    # 400 students make one block of `generate` per CPU, and `train` scores its forest and kNN
+    # folds in one worker per CPU. OpenBLAS sizes its thread pool from the CPU set too, and that
+    # moves the last bits of the logistic-regression files (ROADMAP); both runs hold it at one
+    # thread, so only the number of blocks and workers differs between them
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"synth": {"n_students": 400}, "forest_n_trees": 10}), encoding="utf-8")
     cpu = min(os.sched_getaffinity(0))
@@ -307,18 +311,65 @@ def test_the_cpu_count_changes_no_output_byte(tmp_path):
 
 
 def test_label_imports_no_process_pool(tmp_path):
+    # generate starts its block workers by design; the loading stages must not even import a pool
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"synth": {"n_students": 200}}), encoding="utf-8")
+    done = run_python(["-m", "attrition.cli", "generate", "--config", config, "--data", "data", "--out", "out"],
+                      tmp_path)
+    assert done.returncode == 0, done.stderr
     script = (
         "import sys\n"
         "from attrition.cli import main\n"
-        "for stage in ('generate', 'label'):\n"
+        "for stage in ('label', 'featurize', 'timing'):\n"
         f"    assert main([stage, '--config', {str(config)!r}, '--data', 'data', '--out', 'out']) == 0\n"
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
     )
     done = run_python(["-c", script], tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def _one_cpu(monkeypatch, pooled):
+    if pooled:
+        if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("the blocks run in workers only with two CPUs or more")
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["in_process", "forked"])
+def test_generate_in_blocks_writes_the_whole_cohort(pooled, tmp_path, monkeypatch):
+    _one_cpu(monkeypatch, pooled)
+    monkeypatch.setattr(cli, "BLOCK_STUDENTS", 7)  # 30 students: 5 blocks of 6
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": {"n_students": 30, "seed": 11}}), encoding="utf-8")
+    assert run(["generate", "--config", config, "--data", tmp_path / "data", "--out", tmp_path / "out"]) == 0
+    expected = write_cohort(*generate_cohort(SynthConfig(n_students=30, seed=11)), tmp_path / "expected")
+    assert sorted(p.name for p in (tmp_path / "data").iterdir()) == sorted(p.name for p in expected.values())
+    for path in expected.values():
+        assert (tmp_path / "data" / path.name).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["in_process", "forked"])
+def test_a_failing_block_leaves_no_part_and_no_cohort(pooled, tmp_path, monkeypatch, capsys):
+    _one_cpu(monkeypatch, pooled)
+    monkeypatch.setattr(cli, "BLOCK_STUDENTS", 7)
+    whole = synthetic.generate_cohort
+
+    def failing(cfg, students=None):
+        if students is not None and students.start >= 12:
+            raise ValueError(f"block at {students.start} failed")
+        return whole(cfg, students)
+
+    monkeypatch.setattr(synthetic, "generate_cohort", failing)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": {"n_students": 30}}), encoding="utf-8")
+    data = tmp_path / "data"
+    assert run(["generate", "--config", config, "--data", data, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: generate: block at 12 failed\n"
+    assert list(data.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_cv_failure_names_model_and_fold(tmp_path, capsys):

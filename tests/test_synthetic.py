@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from attrition.labeling import window_allowance
+from attrition.records import GENDERS, RACES
 from attrition.synthetic import (
+    _CDF,
     _P,
     GroundTruth,
     SynthConfig,
@@ -73,6 +75,26 @@ def test_determinism_byte_identical_output(tmp_path):
     write_cohort(*generate_cohort(cfg), b)
     for name in ("students.csv", "transcripts.csv", "degrees.csv", "ground_truth.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("students", [range(0, 1), range(29, 30), range(11, 23), range(0, 30)])
+def test_a_block_is_the_slice_of_the_whole_cohort(students):
+    cfg = SynthConfig(n_students=30, seed=7)
+    records, truths = generate_cohort(cfg)
+    assert generate_cohort(cfg, students) == (records[students.start:students.stop], truths[students.start:students.stop])
+
+
+def test_each_student_draws_from_its_spawned_substream():
+    # generate_cohort builds student i's stream from its spawn key alone; it must be the child
+    # that spawn(n_students + 1)[1:] gives after the cohort's spawn(1), as before blocks
+    cfg = SynthConfig(n_students=40, seed=1998)
+    records, _ = generate_cohort(cfg, range(10, 40))
+    root = np.random.SeedSequence(cfg.seed)
+    root.spawn(1)
+    for record, seed in zip(records, root.spawn(cfg.n_students + 1)[1:][10:], strict=True):
+        rng = np.random.default_rng(seed)
+        race, gender = RACES[int(_draw(rng, _CDF["race"]))], GENDERS[int(_draw(rng, _CDF["gender"]))]
+        assert (record.demographics.race, record.demographics.gender) == (race, gender)
 
 
 @pytest.mark.parametrize("name", sorted(_P))
