@@ -329,7 +329,7 @@ def test_label_imports_no_process_pool(tmp_path):
     assert done.stdout == "[]\n"
 
 
-def _one_cpu(monkeypatch, pooled):
+def _set_cpus(monkeypatch, pooled):
     if pooled:
         if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
             pytest.skip("the blocks run in workers only with two CPUs or more")
@@ -339,7 +339,7 @@ def _one_cpu(monkeypatch, pooled):
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["in_process", "forked"])
 def test_generate_in_blocks_writes_the_whole_cohort(pooled, tmp_path, monkeypatch):
-    _one_cpu(monkeypatch, pooled)
+    _set_cpus(monkeypatch, pooled)
     monkeypatch.setattr(cli, "BLOCK_STUDENTS", 7)  # 30 students: 5 blocks of 6
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"synth": {"n_students": 30, "seed": 11}}), encoding="utf-8")
@@ -352,7 +352,7 @@ def test_generate_in_blocks_writes_the_whole_cohort(pooled, tmp_path, monkeypatc
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["in_process", "forked"])
 def test_a_failing_block_leaves_no_part_and_no_cohort(pooled, tmp_path, monkeypatch, capsys):
-    _one_cpu(monkeypatch, pooled)
+    _set_cpus(monkeypatch, pooled)
     monkeypatch.setattr(cli, "BLOCK_STUDENTS", 7)
     whole = synthetic.generate_cohort
 

@@ -81,12 +81,13 @@ def test_determinism_byte_identical_output(tmp_path):
 def test_a_block_is_the_slice_of_the_whole_cohort(students):
     cfg = SynthConfig(n_students=30, seed=7)
     records, truths = generate_cohort(cfg)
-    assert generate_cohort(cfg, students) == (records[students.start:students.stop], truths[students.start:students.stop])
+    cut = slice(students.start, students.stop)
+    assert generate_cohort(cfg, students) == (records[cut], truths[cut])
 
 
 def test_each_student_draws_from_its_spawned_substream():
     # generate_cohort builds student i's stream from its spawn key alone; it must be the child
-    # that spawn(n_students + 1)[1:] gives after the cohort's spawn(1), as before blocks
+    # that spawn(n_students + 1)[1:] gives after the cohort's spawn(1), or cohorts change bytes
     cfg = SynthConfig(n_students=40, seed=1998)
     records, _ = generate_cohort(cfg, range(10, 40))
     root = np.random.SeedSequence(cfg.seed)
