@@ -5,10 +5,10 @@ pipeline. Each stage reads its inputs from files, writes its artifacts plus
 a manifest line (the hashes of exactly the files it read and wrote, seeds,
 version, wall time and peak RSS), and fails with a one-line error naming the
 prerequisite subcommand when an input is missing, or the stage to rerun when
-an input lacks a student that another input has, cannot be parsed, or is a
-stale artifact: one whose own bytes, or whose producer's inputs, by the last
-manifest line listing it, no longer hash as they did (the registrar CSVs are
-source data, never stale). The resolved configuration is always echoed to
+an input cannot be parsed or is a stale artifact: one whose own bytes, or
+whose producer's inputs, by the last manifest line listing it, no longer hash
+as they did (the registrar CSVs are source data, never stale). Each artifact
+is checked before it is parsed. The resolved configuration is always echoed to
 the output directory, and two runs with identical configuration produce
 byte-identical reports.
 """
@@ -82,13 +82,12 @@ def _sha256(path: Path) -> str:
 
 
 class _Run:
-    """One stage run: its name, its config, the input files it reads in reading order, each
-    with the stage that writes it, and its start."""
+    """One stage run: its name, its config, the input files it reads in reading order, and its start."""
 
     def __init__(self, stage: str, cfg: RunConfig):
         self.stage = stage
         self.cfg = cfg
-        self.inputs: dict[Path, str] = {}
+        self.inputs: list[Path] = []
         self.started = time.perf_counter()
         self._digests: dict[Path, str] = {}
 
@@ -96,18 +95,20 @@ class _Run:
         """`path`, recorded as an input; a missing file names the stage that writes it."""
         if not path.exists():
             raise StageError(self.stage, f"missing input {path}; run '{prerequisite}' first")
-        self.inputs[path] = prerequisite
+        self.inputs.append(path)
         return path
 
     @contextmanager
     def reading(self, name: str, producer: str):
-        """Artifact `name` as written by `producer`; a parse error in the block stops the stage in one line."""
+        """Artifact `name` as written by `producer`, checked fresh before the block parses it; a
+        parse error in the block stops the stage in one line. Stages open artifacts in pipeline
+        order (`labels.csv`, then `featurize`'s files, then the models), so every artifact a file
+        was made from is checked before that file, and an edit is blamed on the file edited."""
         path = self.require(Path(self.cfg.out_dir) / name, producer)
+        self.check_fresh(path, producer)
         try:
             yield path
-        except (KeyError, TypeError, ValueError) as exc:
-            self.inputs = {path: producer, **self.inputs}  # the freshness rule checks this file first
-            self.check_fresh()
+        except (LookupError, TypeError, ValueError) as exc:
             raise StageError(self.stage, f"{name} cannot be read ({exc!r}); rerun '{producer}'") from exc
 
     def digest(self, path: Path) -> str:
@@ -116,10 +117,10 @@ class _Run:
             self._digests[path] = _sha256(path)
         return self._digests[path]
 
-    def check_fresh(self) -> None:
-        """Stop unless every input so far is fresh: the last manifest line listing it among its
-        outputs exists, and the input itself and the files that line read still hash as they
-        did. The registrar CSVs are source data and never stale: real cohorts arrive with no
+    def check_fresh(self, path: Path, producer: str) -> None:
+        """Stop unless artifact `path` is fresh: the last manifest line listing it among its
+        outputs exists, and `path` itself and the files that line read still hash as they did.
+        The registrar CSVs are source data and never stale: real cohorts arrive with no
         `generate` line."""
         out = Path(self.cfg.out_dir)
         source = {p.name: p for p in cohort_paths(self.cfg.data_dir).values()}
@@ -132,19 +133,15 @@ class _Run:
                 made.update((name, (digest, dict(line["inputs"]))) for name, digest in line["outputs"].items())
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise StageError(self.stage, f"{manifest}:{n}: damaged manifest line ({exc!r})") from exc
-        for path, producer in self.inputs.items():
-            if producer == "generate":
-                continue
-            if path.name not in made:
-                raise StageError(self.stage, f"{path.name} has no line in manifest.jsonl; rerun '{producer}'")
-            written, read = made[path.name]
-            if self.digest(path) != written:
-                raise StageError(self.stage, f"{path.name} was changed after '{producer}' wrote it; rerun '{producer}'")
-            changed = [name for name, digest in read.items()
-                       if not (p := source.get(name, out / name)).exists() or self.digest(p) != digest]
-            if changed:
-                raise StageError(self.stage,
-                                 f"{path.name} was made from other {', '.join(changed)}; rerun '{producer}'")
+        if path.name not in made:
+            raise StageError(self.stage, f"{path.name} has no line in manifest.jsonl; rerun '{producer}'")
+        written, read = made[path.name]
+        if self.digest(path) != written:
+            raise StageError(self.stage, f"{path.name} was changed after '{producer}' wrote it; rerun '{producer}'")
+        changed = [name for name, digest in read.items()
+                   if not (p := source.get(name, out / name)).exists() or self.digest(p) != digest]
+        if changed:
+            raise StageError(self.stage, f"{path.name} was made from other {', '.join(changed)}; rerun '{producer}'")
 
     def manifest(self, outputs: list[Path]) -> None:
         """Append the stage's manifest line: hashes of its inputs and of its outputs, the
@@ -175,56 +172,41 @@ def _cohort(run: _Run) -> list[Path]:
     return [run.require(paths[key], "generate") for key in ("students", "transcripts", "degrees")]
 
 
-class _Rows(dict):
-    """One artifact's rows by student id; a missing id names the file and the stage to rerun."""
-
-    def __init__(self, run: _Run, path: Path, rerun: str, rows):
-        super().__init__(rows)
-        self.stage, self.name, self.rerun = run.stage, path.name, rerun
-
-    def __missing__(self, sid: str):
-        raise StageError(self.stage, f"{self.name} has no row for student {sid}; rerun '{self.rerun}'")
-
-
-def _read_labels(run: _Run, rerun: str) -> dict[str, OutcomeLabel]:
-    """labels.csv by student id; `rerun` is the stage that fixes a missing id."""
+def _read_labels(run: _Run) -> dict[str, OutcomeLabel]:
     with run.reading("labels.csv", "label") as path:
-        return _Rows(run, path, rerun, (
-            (row["student_id"], OutcomeLabel(
+        return {
+            row["student_id"]: OutcomeLabel(
                 graduated=row["graduated"] == "1",
                 quarters_enrolled=int(row["quarters_enrolled"]),
                 window_allowance=int(row["window_allowance"]),
-            ))
+            )
             for row in read_csv(path)
-        ))
+        }
 
 
-def _read_features(run: _Run) -> tuple[list[str], np.ndarray]:
+def _read_features(run: _Run, labels: dict[str, OutcomeLabel]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """features.csv: its student ids, raw matrix and targets from `labels`."""
     ids: list[str] = []
     rows: list[list[float]] = []
     with run.reading("features.csv", "featurize") as path:
         for row in read_csv(path):
             ids.append(row.pop("student_id"))
             rows.append([float(v) for v in row.values()])
-    return ids, np.array(rows)
-
-
-def _read_split(run: _Run) -> dict[str, str]:
-    with run.reading("split.csv", "featurize") as path:
-        return _Rows(run, path, "featurize", ((row["student_id"], row["partition"]) for row in read_csv(path)))
+        return ids, np.array(rows), np.array([0.0 if labels[i].graduated else 1.0 for i in ids])
 
 
 def _matrices(run: _Run):
-    """Shared loading path for train/evaluate/screen: raw + standardized matrices, feature names."""
-    ids, x_raw = _read_features(run)
-    labels = _read_labels(run, "featurize")  # features.csv was built from other labels
-    parts = _read_split(run)
-    y = np.array([0.0 if labels[i].graduated else 1.0 for i in ids])
-    part = np.array([parts[i] for i in ids])
+    """Shared loading path for train/evaluate/screen: raw + standardized matrices, targets,
+    training mask, feature names. A student of features.csv missing from labels.csv or split.csv
+    is a KeyError in a `reading` block, so it stops the stage in one line."""
+    ids, x_raw, y = _read_features(run, _read_labels(run))
+    with run.reading("split.csv", "featurize") as path:
+        parts = {row["student_id"]: row["partition"] for row in read_csv(path)}
+        is_train = np.array([parts[i] for i in ids]) == "train"
     with run.reading("schema.json", "featurize") as path:
         meta = read_json(path)
         x_std = standardize(x_raw, meta["means"], meta["sds"], meta["standardized"])
-        return ids, x_raw, x_std, y, part == "train", meta["feature_names"]
+        return x_raw, x_std, y, is_train, meta["feature_names"]
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +260,7 @@ def stage_label(cfg: RunConfig) -> list[Path]:
 def stage_featurize(cfg: RunConfig) -> list[Path]:
     run = _Run("featurize", cfg)
     cohort = _cohort(run)
-    labels = _read_labels(run, "label")
-    run.check_fresh()  # so 'label' loaded this very cohort in full, and every row passed every rule
+    labels = _read_labels(run)  # fresh, so 'label' loaded this very cohort in full, and every row passed every rule
     kept = dict(balance(LabeledDataset(tuple(labels.items())), cfg.sampling_seed).records)
     balanced = LabeledDataset(tuple((r, kept[r.student_id]) for r in load_students(*cohort, only=kept)))
     train, test = split(balanced, cfg.test_fraction, cfg.split_seed)
@@ -314,8 +295,7 @@ def stage_featurize(cfg: RunConfig) -> list[Path]:
 
 def stage_train(cfg: RunConfig) -> list[Path]:
     run = _Run("train", cfg)
-    ids, x_raw, x_std, y, is_train, _ = _matrices(run)
-    run.check_fresh()
+    x_raw, x_std, y, is_train, _ = _matrices(run)
     x_tr_std, x_tr_raw, y_tr = x_std[is_train], x_raw[is_train], y[is_train]
     out_dir = Path(cfg.out_dir)
 
@@ -350,7 +330,7 @@ def stage_train(cfg: RunConfig) -> list[Path]:
 
 def stage_evaluate(cfg: RunConfig) -> list[Path]:
     run = _Run("evaluate", cfg)
-    ids, x_raw, x_std, y, is_train, _ = _matrices(run)
+    x_raw, x_std, y, is_train, _ = _matrices(run)
     out_dir = Path(cfg.out_dir)
     x_te_std, x_te_raw, y_te = x_std[~is_train], x_raw[~is_train], y[~is_train]
 
@@ -358,7 +338,6 @@ def stage_evaluate(cfg: RunConfig) -> list[Path]:
     for name, filename in MODEL_FILES.items():
         with run.reading(filename, "train") as path:
             models[name] = load_model(path)
-    run.check_fresh()
 
     report_models: dict[str, ModelEval] = {}
     outputs = []
@@ -387,8 +366,7 @@ def stage_evaluate(cfg: RunConfig) -> list[Path]:
 
 def stage_screen(cfg: RunConfig) -> list[Path]:
     run = _Run("screen", cfg)
-    ids, x_raw, x_std, y, is_train, names = _matrices(run)
-    run.check_fresh()
+    x_raw, x_std, y, is_train, names = _matrices(run)
     rows = screen_features(
         names,
         x_std[is_train], y[is_train],
@@ -403,8 +381,7 @@ def stage_screen(cfg: RunConfig) -> list[Path]:
 def stage_timing(cfg: RunConfig) -> list[Path]:
     run = _Run("timing", cfg)
     cohort = _cohort(run)
-    labels = _read_labels(run, "label")
-    run.check_fresh()  # as in featurize
+    labels = _read_labels(run)  # fresh, as in featurize
     nc_labels = {sid: label for sid, label in labels.items() if not label.graduated}
     ncs = LabeledDataset(tuple((r, nc_labels[r.student_id]) for r in load_students(*cohort, only=nc_labels)))
     report = timing_experiment(

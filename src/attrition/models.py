@@ -566,6 +566,24 @@ def model_to_dict(model: Model) -> dict:
     }
 
 
+def _tree_from_dict(t: dict, n_features: int) -> _Tree:
+    """A tree's node table: its five lists of one length, a feature in [-1, n_features) at every
+    node and each internal node's children inside the tree, or ValueError."""
+    tree = _Tree(
+        np.array(t["feature"], dtype=np.int64),
+        np.array(t["threshold"], dtype=float),
+        np.array(t["left"], dtype=np.int64),
+        np.array(t["right"], dtype=np.int64),
+        np.array(t["prob"], dtype=float),
+    )
+    n = len(tree.feature)
+    if (not n or any(len(a) != n for a in (tree.threshold, tree.left, tree.right, tree.prob))
+            or tree.feature.min() < -1 or tree.feature.max() >= n_features
+            or not all(((c >= 0) & (c < n))[tree.feature >= 0].all() for c in (tree.left, tree.right))):
+        raise ValueError(f"a node table that does not fit one tree of {n_features} features")
+    return tree
+
+
 def model_from_dict(payload: dict) -> Model:
     kind = payload["kind"]
     if kind in ("logistic", "ridge"):
@@ -576,27 +594,15 @@ def model_from_dict(payload: dict) -> Model:
             task="classification" if kind == "logistic" else "regression",
         )
     if kind == "knn":
-        return KnnModel(
-            x_train=np.array(payload["x_train"], dtype=float),
-            y_train=np.array(payload["y_train"], dtype=float),
-            k=int(payload["k"]),
-        )
+        return fit_knn(np.array(payload["x_train"], dtype=float), np.array(payload["y_train"], dtype=float),
+                       int(payload["k"]))
     if kind == "forest":
-        trees = [
-            _Tree(
-                np.array(t["feature"], dtype=np.int64),
-                np.array(t["threshold"], dtype=float),
-                np.array(t["left"], dtype=np.int64),
-                np.array(t["right"], dtype=np.int64),
-                np.array(t["prob"], dtype=float),
-            )
-            for t in payload["trees"]
-        ]
+        n_features = int(payload["n_features"])
         return ForestModel(
-            trees=trees,
+            trees=[_tree_from_dict(t, n_features) for t in payload["trees"]],
             params=ForestParams(**payload["params"]),
             seed=int(payload["seed"]),
-            n_features=int(payload["n_features"]),
+            n_features=n_features,
         )
     raise ValueError(f"unknown model kind {kind!r}")
 
@@ -606,5 +612,5 @@ def save_model(model: Model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> Model:
-    """Read a model file; a damaged or outdated one raises KeyError, TypeError or ValueError."""
+    """Read a model file; a damaged or outdated one raises LookupError, TypeError or ValueError."""
     return model_from_dict(read_json(path))

@@ -403,6 +403,12 @@ def keep_cells(keep):
     return lambda text: "".join(",".join(line.split(",")[keep]) + "\n" for line in text.splitlines())
 
 
+def child_out_of_range(forest):
+    tree = forest["trees"][0]
+    node = next(i for i, feature in enumerate(tree["feature"]) if feature >= 0)
+    tree["left"][node] = len(tree["left"])
+
+
 @pytest.mark.parametrize(
     "filename, producer, edit",
     [
@@ -417,9 +423,14 @@ def keep_cells(keep):
         ("features.csv", "featurize", lambda text: re.sub(r"(\n[^\n]*),[^,\n]*\n", r"\1\n", text, count=1)),
         ("split.csv", "featurize", keep_cells(slice(1, None))),
         ("schema.json", "featurize", edit_payload(lambda m: m.pop("means"))),
+        ("schema.json", "featurize", edit_payload(lambda m: m["sds"].pop())),
+        ("model_knn.json", "train", edit_payload(lambda m: m.update(k=999))),
+        ("model_random_forest.json", "train", edit_payload(child_out_of_range)),
+        ("model_random_forest.json", "train", edit_payload(lambda m: m["trees"][0]["right"].pop())),
     ],
     ids=["forest-old-params", "logistic-no-weights", "labels-no-window_allowance", "labels-non-numeric",
-         "features-no-student_id", "features-short-row", "split-no-student_id", "schema-no-means"],
+         "features-no-student_id", "features-short-row", "split-no-student_id", "schema-no-means",
+         "schema-short-sds", "knn-k-beyond-rows", "forest-child-out-of-range", "forest-short-right"],
 )
 def test_unreadable_model_file_names_file_and_train(tmp_path, capsys, filename, producer, edit):
     config = write_config(tmp_path)
@@ -429,22 +440,52 @@ def test_unreadable_model_file_names_file_and_train(tmp_path, capsys, filename, 
         assert run([sub, "--config", config, "--data", data, "--out", out]) == 0
     written = hashlib.sha256((out / filename).read_bytes()).hexdigest()
     (out / filename).write_text(edit((out / filename).read_text()), encoding="utf-8")
+    # every stage that reads labels.csv opens it first, so it, not a file made from it, is named
+    stages = ["train", "evaluate", "screen"] if filename == "labels.csv" else ["evaluate"]
 
-    def evaluate_stops_in_one_line():
-        capsys.readouterr()
-        code = run(["evaluate", "--config", config, "--data", data, "--out", out])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err.startswith("error: evaluate: ")
-        assert filename in captured.err and f"rerun '{producer}'" in captured.err
-        assert len(captured.err.strip().splitlines()) == 1
+    def stages_stop_in_one_line():
+        for stage in stages:
+            capsys.readouterr()
+            code = run([stage, "--config", config, "--data", data, "--out", out])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.err.startswith(f"error: {stage}: ")
+            assert filename in captured.err and f"rerun '{producer}'" in captured.err
+            assert len(captured.err.strip().splitlines()) == 1
 
-    evaluate_stops_in_one_line()
+    stages_stop_in_one_line()
     # as if `producer` had written the edited file: fresh, and still unreadable
     edited = hashlib.sha256((out / filename).read_bytes()).hexdigest()
     manifest = out / "manifest.jsonl"
     manifest.write_text(manifest.read_text().replace(written, edited), encoding="utf-8")
-    evaluate_stops_in_one_line()
+    stages_stop_in_one_line()
+
+
+@pytest.mark.parametrize("filename, parsed", [
+    ("labels.csv", []),
+    ("features.csv", ["labels.csv"]),
+    ("schema.json", ["labels.csv", "features.csv", "split.csv"]),
+], ids=["labels", "features", "schema"])
+def test_no_artifact_is_parsed_before_it_is_checked(tmp_path, capsys, monkeypatch, filename, parsed):
+    # the edit keeps the file parseable, so only the freshness rule can stop the stage
+    args = cohort_args(tmp_path, 77)
+    for sub in ("generate", "label", "featurize"):
+        assert run([sub, *args]) == 0
+    edited = tmp_path / "out" / filename
+    edited.write_bytes(edited.read_bytes() + b"\n")
+    opened = []
+    for name in ("read_csv", "read_json", "load_model"):
+        def spy(path, parse=getattr(cli, name)):
+            opened.append(Path(path).name)
+            return parse(path)
+        monkeypatch.setattr(cli, name, spy)
+    capsys.readouterr()
+    assert run(["train", *args]) == 1
+    producer = "label" if filename == "labels.csv" else "featurize"
+    assert capsys.readouterr().err == (
+        f"error: train: {filename} was changed after '{producer}' wrote it; rerun '{producer}'\n"
+    )
+    assert opened == parsed  # only the artifacts opened, and checked, before it
 
 
 def test_timing_runs_on_a_150_student_cohort(tmp_path):
@@ -522,22 +563,44 @@ def test_a_transcript_edited_after_label_is_refused_before_the_load(tmp_path, ca
     )
 
 
-def test_features_of_other_labels_name_the_student_and_featurize(tmp_path, capsys):
+def test_features_of_other_labels_and_a_split_without_a_row_are_stale(tmp_path, capsys):
     args = run_stages(tmp_path, (250, ["generate", "label", "featurize"]), (200, ["generate", "label"]))
     out = tmp_path / "out"
-    ids = [line.split(",")[0] for line in (out / "features.csv").read_text().splitlines()[1:]]
-    missing = next(sid for sid in ids if int(sid[1:]) > 200)
     capsys.readouterr()
     assert run(["train", *args]) == 1
-    assert capsys.readouterr().err == f"error: train: labels.csv has no row for student {missing}; rerun 'featurize'\n"
+    assert capsys.readouterr().err == (
+        "error: train: features.csv was made from other degrees.csv, labels.csv, students.csv, "
+        "transcripts.csv; rerun 'featurize'\n"
+    )
 
     assert run(["featurize", *args]) == 0
-    header, first, *rest = (out / "split.csv").read_text().splitlines()
+    header, _, *rest = (out / "split.csv").read_text().splitlines()
     (out / "split.csv").write_text("\n".join([header, *rest]) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert run(["train", *args]) == 1
-    sid = first.split(",")[0]
-    assert capsys.readouterr().err == f"error: train: split.csv has no row for student {sid}; rerun 'featurize'\n"
+    assert capsys.readouterr().err == (
+        "error: train: split.csv was changed after 'featurize' wrote it; rerun 'featurize'\n"
+    )
+
+
+def test_features_of_other_labels_under_a_forged_manifest_stop_in_one_line(tmp_path, capsys):
+    args = run_stages(tmp_path, (250, ["generate", "label", "featurize"]), (200, ["generate", "label"]))
+    out = tmp_path / "out"
+    # featurize's line made to list the hashes of today's cohort and labels, so features.csv reads as fresh
+    manifest = out / "manifest.jsonl"
+    lines = [json.loads(line) for line in manifest.read_text().splitlines()]
+    featurized, labeled = lines[2], lines[-1]
+    assert (featurized["stage"], labeled["stage"]) == ("featurize", "label")
+    featurized["inputs"] = {**labeled["inputs"], **labeled["outputs"]}
+    manifest.write_text("".join(json.dumps(line, sort_keys=True) + "\n" for line in lines), encoding="utf-8")
+    labels = {line.split(",")[0] for line in (out / "labels.csv").read_text().splitlines()[1:]}
+    ids = [line.split(",")[0] for line in (out / "features.csv").read_text().splitlines()[1:]]
+    missing = next(sid for sid in ids if sid not in labels)
+    capsys.readouterr()
+    assert run(["train", *args]) == 1
+    assert capsys.readouterr().err == (
+        f"error: train: features.csv cannot be read (KeyError({missing!r})); rerun 'featurize'\n"
+    )
 
 
 def test_label_reads_the_generator_degree_credits(tmp_path):
@@ -599,7 +662,7 @@ def test_an_artifact_with_no_manifest_line_is_refused(tmp_path, capsys):
     (tmp_path / "out" / "manifest.jsonl").unlink()
     capsys.readouterr()
     assert run(["train", *args]) == 1
-    assert capsys.readouterr().err == "error: train: features.csv has no line in manifest.jsonl; rerun 'featurize'\n"
+    assert capsys.readouterr().err == "error: train: labels.csv has no line in manifest.jsonl; rerun 'label'\n"
 
 
 def test_a_cohort_with_no_generate_line_is_source_data(tmp_path):

@@ -830,3 +830,30 @@ def test_model_dict_round_trip_all_kinds():
         payload = model_to_dict(model)
         rebuilt = model_from_dict(payload)
         assert type(rebuilt) is type(model)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: t["left"].__setitem__(0, len(t["left"])),
+    lambda t: t["right"].__setitem__(0, -1),
+    lambda t: t["feature"].__setitem__(0, 2),
+    lambda t: t["feature"].__setitem__(0, -2),
+    lambda t: t["prob"].pop(),
+    lambda t: t["right"].pop(),
+    lambda t: [t[key].clear() for key in t],
+], ids=["child-past-the-end", "leaf-child-of-a-split", "feature-past-n_features", "feature-below-leaf",
+        "short-prob", "short-right", "no-nodes"])
+def test_a_forest_node_table_that_does_not_fit_its_tree_is_refused(edit):
+    x = np.array([[0.0, 5.0], [1.0, 4.0], [2.0, 3.0], [3.0, 2.0]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    payload = model_to_dict(train_forest(x, y, ForestParams(n_trees=1, max_depth=2), seed=5))
+    assert payload["trees"][0]["feature"][0] >= 0  # the root splits
+    edit(payload["trees"][0])
+    with pytest.raises(ValueError, match="does not fit one tree of 2 features"):
+        model_from_dict(payload)
+
+
+def test_a_knn_file_is_held_to_fit_knn_rules():
+    payload = model_to_dict(fit_knn(np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1.0, 1.0]), 3))
+    for k, reason in ((5, "exceeds training size 3"), (2, "positive odd integer")):
+        with pytest.raises(ValueError, match=reason):
+            model_from_dict({**payload, "k": k})
