@@ -41,7 +41,6 @@ from .workers import ordered_map
 class ModelEval:
     accuracy: float
     auc: float
-    roc_points: tuple[tuple[float, float, float], ...]
     hyperparameters: dict
 
 

@@ -542,12 +542,7 @@ def model_to_dict(model: Model) -> dict:
             "regularization": float(model.regularization),
         }
     if isinstance(model, KnnModel):
-        return {
-            "kind": "knn",
-            "k": int(model.k),
-            "x_train": [[float(v) for v in row] for row in model.x_train],
-            "y_train": [float(v) for v in model.y_train],
-        }
+        return {"kind": "knn", "k": int(model.k)}  # the rows stay in their own files: load_model refits
     return {
         "kind": "forest",
         "seed": int(model.seed),
@@ -584,7 +579,9 @@ def _tree_from_dict(t: dict, n_features: int) -> _Tree:
     return tree
 
 
-def model_from_dict(payload: dict) -> Model:
+def model_from_dict(payload: dict, x_train: np.ndarray | None = None, y_train: np.ndarray | None = None) -> Model:
+    """A model from its file payload. A kNN payload holds only `k` (the rows an older file carries are
+    ignored), and the model is `fit_knn` on `x_train`, `y_train`, which other kinds ignore."""
     kind = payload["kind"]
     if kind in ("logistic", "ridge"):
         return LinearModel(
@@ -594,8 +591,7 @@ def model_from_dict(payload: dict) -> Model:
             task="classification" if kind == "logistic" else "regression",
         )
     if kind == "knn":
-        return fit_knn(np.array(payload["x_train"], dtype=float), np.array(payload["y_train"], dtype=float),
-                       int(payload["k"]))
+        return fit_knn(x_train, y_train, int(payload["k"]))
     if kind == "forest":
         n_features = int(payload["n_features"])
         return ForestModel(
@@ -611,6 +607,6 @@ def save_model(model: Model, path: str | Path) -> None:
     write_json(path, model_to_dict(model), indent=None)
 
 
-def load_model(path: str | Path) -> Model:
-    """Read a model file; a damaged or outdated one raises LookupError, TypeError or ValueError."""
-    return model_from_dict(read_json(path))
+def load_model(path: str | Path, x_train: np.ndarray | None = None, y_train: np.ndarray | None = None) -> Model:
+    """`model_from_dict` of a model file; a damaged or outdated one raises LookupError, TypeError or ValueError."""
+    return model_from_dict(read_json(path), x_train, y_train)

@@ -13,6 +13,10 @@ import pytest
 
 from attrition import cli, synthetic
 from attrition.cli import main
+from attrition.config import RunConfig
+from attrition.evaluation import roc_and_auc
+from attrition.io import write_csv
+from attrition.models import fit_knn, knn_predict
 from attrition.synthetic import SynthConfig, generate_cohort, write_cohort
 
 FAST_CONFIG = {
@@ -63,9 +67,8 @@ def test_pipeline_writes_report_with_three_models(pipeline_run):
     for name, model in report["models"].items():
         assert 0.0 <= model["accuracy"] <= 1.0
         assert 0.0 <= model["auc"] <= 1.0
-        assert model["roc_points"][0][:2] == [0.0, 0.0]
-        assert model["roc_points"][-1][:2] == [1.0, 1.0]
         assert model["hyperparameters"]
+        assert set(model) == {"accuracy", "auc", "hyperparameters"}  # the ROC points are in roc_<model>.csv
 
 
 def test_pipeline_writes_all_stage_artifacts(pipeline_run):
@@ -127,9 +130,26 @@ def test_labels_csv_columns(pipeline_run):
 
 def test_roc_files_have_expected_columns(pipeline_run):
     out, _ = pipeline_run
-    lines = (out / "roc_logistic_regression.csv").read_text().splitlines()
-    assert lines[0] == "fpr,tpr,threshold"
-    assert len(lines) > 2
+    for name in ("logistic_regression", "random_forest", "knn"):
+        lines = (out / f"roc_{name}.csv").read_text().splitlines()
+        assert lines[0] == "fpr,tpr,threshold"
+        assert len(lines) > 2
+        assert [float(v) for v in lines[1].split(",")[:2]] == [0.0, 0.0]
+        assert [float(v) for v in lines[-1].split(",")[:2]] == [1.0, 1.0]
+
+
+def test_knn_file_holds_k_and_evaluate_refits_on_the_standardized_training_rows(pipeline_run, tmp_path):
+    out, data = pipeline_run
+    chosen = [line.split(",")[0] for line in (out / "cv_knn.csv").read_text().splitlines()[1:]
+              if line.endswith(",1")]
+    assert json.loads((out / "model_knn.json").read_text()) == {"k": int(chosen[0]), "kind": "knn"}
+    cfg = RunConfig.from_json(write_config(tmp_path))
+    cfg.data_dir, cfg.out_dir = str(data), str(out)
+    _, x_std, y, is_train, _ = cli._matrices(cli._Run("evaluate", cfg))
+    model = fit_knn(x_std[is_train], y[is_train], int(chosen[0]))
+    points, _ = roc_and_auc(knn_predict(model, x_std[~is_train]), y[~is_train])
+    write_csv(tmp_path / "roc_knn.csv", ["fpr", "tpr", "threshold"], points)
+    assert (tmp_path / "roc_knn.csv").read_bytes() == (out / "roc_knn.csv").read_bytes()
 
 
 def test_timing_report_fields(pipeline_run):
@@ -698,6 +718,26 @@ def test_a_damaged_manifest_line_names_the_manifest_and_line(tmp_path, capsys, d
     err = capsys.readouterr().err
     assert err.startswith(f"error: featurize: {manifest}:2: damaged manifest line ({reason}(")
     assert len(err.splitlines()) == 1
+
+
+def test_a_stage_parses_the_manifest_once(tmp_path, monkeypatch, pipeline_run):
+    # a reused output directory: the pipeline's lines, repeated as 50 reruns would leave them
+    shutil.copytree(pipeline_run[0], tmp_path / "out")
+    shutil.copytree(pipeline_run[1], tmp_path / "data")
+    manifest = tmp_path / "out" / "manifest.jsonl"
+    manifest.write_text(manifest.read_text() * 50, encoding="utf-8")
+    n_lines = len(manifest.read_text().splitlines())
+    parses = []
+
+    def counting_loads(text, *args, loads=json.loads, **kwargs):
+        parses.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "loads", counting_loads)  # json.load, for schema.json, calls it too
+    args = ["--config", write_config(tmp_path), "--data", tmp_path / "data", "--out", tmp_path / "out"]
+    assert run(["screen", *args]) == 0
+    assert n_lines >= 300
+    assert n_lines <= len(parses) < 2 * n_lines  # not once per checked artifact (4 of them)
 
 
 def test_pipeline_errors_name_the_failing_stage(tmp_path, capsys, monkeypatch):

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from attrition.config import RunConfig
 from attrition.evaluation import split
 from attrition.features import encode_dataset, fit_schema
-from attrition.io import load_students, write_json
+from attrition.io import load_students, read_json, write_json
 from attrition.labeling import balance, label_all
 from attrition.models import (
     ForestModel,
     ForestParams,
+    KnnModel,
     _Tree,
     fit_knn,
     forest_predict,
@@ -798,24 +799,32 @@ def test_knn_round_trip(tmp_path):
     y = np.array([1.0, 0.0, 1.0])
     model = fit_knn(x, y, 1)
     save_model(model, tmp_path / "knn.json")
-    loaded = load_model(tmp_path / "knn.json")
+    assert read_json(tmp_path / "knn.json") == {"kind": "knn", "k": 1}  # the rows are the caller's
+    loaded = load_model(tmp_path / "knn.json", x, y)
+    assert np.array_equal(loaded.x_train, x) and np.array_equal(loaded.y_train, y)
     assert knn_predict(loaded, np.array([0.1, 0.9])) == knn_predict(model, np.array([0.1, 0.9]))
 
 
 def test_a_model_file_with_a_schema_hash_still_loads(tmp_path):
-    # model files written before the field was dropped carry "schema_hash"
+    # model files written before the field was dropped carry "schema_hash", and kNN files written
+    # before the training rows were dropped carry "x_train" and "y_train": both are ignored
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0.0, 1.0, 0.0, 1.0])
-    for model in (
-        train_logistic(x, y, 0.1),
-        fit_knn(x, y, 3),
-        train_forest(x, y, ForestParams(n_trees=3, max_depth=2), seed=5),
+    knn = fit_knn(x, y, 3)
+    parent_knn = {"kind": "knn", "k": 3, "x_train": [[9.0], [8.0], [7.0], [6.0]], "y_train": [1.0, 1.0, 0.0, 0.0]}
+    for model, payload in (
+        (train_logistic(x, y, 0.1), None),
+        (knn, None),
+        (knn, parent_knn),
+        (train_forest(x, y, ForestParams(n_trees=3, max_depth=2), seed=5), None),
     ):
         path = tmp_path / "model.json"
-        write_json(path, {**model_to_dict(model), "schema_hash": "abc123"}, indent=None)
-        loaded = load_model(path)
+        write_json(path, {**(payload or model_to_dict(model)), "schema_hash": "abc123"}, indent=None)
+        loaded = load_model(path, x, y)
         assert type(loaded) is type(model)
         assert model_to_dict(loaded) == model_to_dict(model)
+        if isinstance(loaded, KnnModel):  # refit on the rows given, not on the rows of the file
+            assert np.array_equal(loaded.x_train, x) and np.array_equal(loaded.y_train, y)
 
 
 def test_model_dict_round_trip_all_kinds():
@@ -828,8 +837,9 @@ def test_model_dict_round_trip_all_kinds():
         train_forest(x, y, ForestParams(n_trees=3, max_depth=2), seed=5),
     ):
         payload = model_to_dict(model)
-        rebuilt = model_from_dict(payload)
+        rebuilt = model_from_dict(payload, x, y)
         assert type(rebuilt) is type(model)
+        assert model_to_dict(rebuilt) == payload
 
 
 @pytest.mark.parametrize("edit", [
@@ -853,7 +863,8 @@ def test_a_forest_node_table_that_does_not_fit_its_tree_is_refused(edit):
 
 
 def test_a_knn_file_is_held_to_fit_knn_rules():
-    payload = model_to_dict(fit_knn(np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1.0, 1.0]), 3))
+    x, y = np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1.0, 1.0])
+    payload = model_to_dict(fit_knn(x, y, 3))
     for k, reason in ((5, "exceeds training size 3"), (2, "positive odd integer")):
         with pytest.raises(ValueError, match=reason):
-            model_from_dict({**payload, "k": k})
+            model_from_dict({**payload, "k": k}, x, y)
