@@ -90,7 +90,6 @@ class _Run:
         self.inputs: list[Path] = []
         self.started = time.perf_counter()
         self._digests: dict[Path, str] = {}
-        self._made: dict[str, tuple[str, dict]] | None = None  # the manifest, parsed at the first check
 
     def require(self, path: Path, prerequisite: str) -> Path:
         """`path`, recorded as an input; a missing file names the stage that writes it."""
@@ -122,21 +121,18 @@ class _Run:
         """Stop unless artifact `path` is fresh: the last manifest line listing it among its
         outputs exists, and `path` itself and the files that line read still hash as they did.
         The registrar CSVs are source data and never stale: real cohorts arrive with no
-        `generate` line. The manifest is parsed once: a stage appends only after its last check."""
+        `generate` line."""
         out = Path(self.cfg.out_dir)
         source = {p.name: p for p in cohort_paths(self.cfg.data_dir).values()}
         manifest = out / "manifest.jsonl"
-        made = self._made
-        if made is None:
-            made = {}
-            lines = manifest.read_text(encoding="utf-8").splitlines() if manifest.exists() else []
-            for n, text in enumerate(lines, 1):
-                try:
-                    line = json.loads(text)
-                    made.update((name, (digest, dict(line["inputs"]))) for name, digest in line["outputs"].items())
-                except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                    raise StageError(self.stage, f"{manifest}:{n}: damaged manifest line ({exc!r})") from exc
-            self._made = made
+        made: dict[str, tuple[str, dict]] = {}
+        lines = manifest.read_text(encoding="utf-8").splitlines() if manifest.exists() else []
+        for n, text in enumerate(lines, 1):
+            try:
+                line = json.loads(text)
+                made.update((name, (digest, dict(line["inputs"]))) for name, digest in line["outputs"].items())
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise StageError(self.stage, f"{manifest}:{n}: damaged manifest line ({exc!r})") from exc
         if path.name not in made:
             raise StageError(self.stage, f"{path.name} has no line in manifest.jsonl; rerun '{producer}'")
         written, read = made[path.name]
@@ -336,12 +332,13 @@ def stage_evaluate(cfg: RunConfig) -> list[Path]:
     run = _Run("evaluate", cfg)
     x_raw, x_std, y, is_train, _ = _matrices(run)
     out_dir = Path(cfg.out_dir)
+    x_tr_std, y_tr = x_std[is_train], y[is_train]
     x_te_std, x_te_raw, y_te = x_std[~is_train], x_raw[~is_train], y[~is_train]
 
     models = {}
     for name, filename in MODEL_FILES.items():
         with run.reading(filename, "train") as path:  # kNN is refit on the rows 'train' fitted it on
-            models[name] = load_model(path, x_std[is_train], y[is_train])
+            models[name] = load_model(path, x_tr_std, y_tr)
 
     report_models: dict[str, ModelEval] = {}
     outputs = []

@@ -579,7 +579,7 @@ def _tree_from_dict(t: dict, n_features: int) -> _Tree:
     return tree
 
 
-def model_from_dict(payload: dict, x_train: np.ndarray | None = None, y_train: np.ndarray | None = None) -> Model:
+def model_from_dict(payload: dict, x_train: np.ndarray, y_train: np.ndarray) -> Model:
     """A model from its file payload. A kNN payload holds only `k` (the rows an older file carries are
     ignored), and the model is `fit_knn` on `x_train`, `y_train`, which other kinds ignore."""
     kind = payload["kind"]
@@ -607,6 +607,6 @@ def save_model(model: Model, path: str | Path) -> None:
     write_json(path, model_to_dict(model), indent=None)
 
 
-def load_model(path: str | Path, x_train: np.ndarray | None = None, y_train: np.ndarray | None = None) -> Model:
+def load_model(path: str | Path, x_train: np.ndarray, y_train: np.ndarray) -> Model:
     """`model_from_dict` of a model file; a damaged or outdated one raises LookupError, TypeError or ValueError."""
     return model_from_dict(read_json(path), x_train, y_train)

@@ -720,26 +720,6 @@ def test_a_damaged_manifest_line_names_the_manifest_and_line(tmp_path, capsys, d
     assert len(err.splitlines()) == 1
 
 
-def test_a_stage_parses_the_manifest_once(tmp_path, monkeypatch, pipeline_run):
-    # a reused output directory: the pipeline's lines, repeated as 50 reruns would leave them
-    shutil.copytree(pipeline_run[0], tmp_path / "out")
-    shutil.copytree(pipeline_run[1], tmp_path / "data")
-    manifest = tmp_path / "out" / "manifest.jsonl"
-    manifest.write_text(manifest.read_text() * 50, encoding="utf-8")
-    n_lines = len(manifest.read_text().splitlines())
-    parses = []
-
-    def counting_loads(text, *args, loads=json.loads, **kwargs):
-        parses.append(text)
-        return loads(text, *args, **kwargs)
-
-    monkeypatch.setattr(cli.json, "loads", counting_loads)  # json.load, for schema.json, calls it too
-    args = ["--config", write_config(tmp_path), "--data", tmp_path / "data", "--out", tmp_path / "out"]
-    assert run(["screen", *args]) == 0
-    assert n_lines >= 300
-    assert n_lines <= len(parses) < 2 * n_lines  # not once per checked artifact (4 of them)
-
-
 def test_pipeline_errors_name_the_failing_stage(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise ValueError("boom")

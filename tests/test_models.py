@@ -777,7 +777,7 @@ def test_linear_model_round_trip(tmp_path):
     model = train_logistic(x, y, 0.2)
     path = tmp_path / "model.json"
     save_model(model, path)
-    loaded = load_model(path)
+    loaded = load_model(path, x, y)
     assert np.allclose(loaded.weights, model.weights)
     assert loaded.intercept == model.intercept
     assert loaded.task == "classification"
@@ -789,7 +789,7 @@ def test_forest_round_trip_preserves_predictions(tmp_path):
     y = (x[:, 1] > 0).astype(float)
     model = train_forest(x, y, ForestParams(n_trees=7, max_depth=4), seed=21)
     save_model(model, tmp_path / "forest.json")
-    loaded = load_model(tmp_path / "forest.json")
+    loaded = load_model(tmp_path / "forest.json", x, y)
     queries = rng.normal(size=(12, 4))
     assert np.array_equal(forest_predict(loaded, queries), forest_predict(model, queries))
 
@@ -859,7 +859,7 @@ def test_a_forest_node_table_that_does_not_fit_its_tree_is_refused(edit):
     assert payload["trees"][0]["feature"][0] >= 0  # the root splits
     edit(payload["trees"][0])
     with pytest.raises(ValueError, match="does not fit one tree of 2 features"):
-        model_from_dict(payload)
+        model_from_dict(payload, x, y)
 
 
 def test_a_knn_file_is_held_to_fit_knn_rules():
