@@ -219,11 +219,13 @@ def _write_block(block: range, synth: synthetic.SynthConfig, parts: Path) -> dic
 def stage_generate(cfg: RunConfig) -> list[Path]:
     """Draw and write the cohort in contiguous blocks of students, one forked worker per usable
     CPU, each block into its own directory; then join each CSV's parts in block order under one
-    header. A block is a slice of the whole cohort, so the bytes do not depend on the CPU count."""
+    header. The block count is a multiple of the CPU count, so no CPU idles while another draws a
+    last block. A block is a slice of the whole cohort, so the bytes do not depend on the CPU count."""
     run = _Run("generate", cfg)
     synthetic.signal_kinds(cfg.synth)  # a config error stops the stage before any worker starts
     n = cfg.synth.n_students
-    count = min(n, max(usable_cpus(), -(-n // BLOCK_STUDENTS)))
+    cpus = usable_cpus()
+    count = min(n, cpus * -(-n // (cpus * BLOCK_STUDENTS)))
     blocks = [range(k * n // count, (k + 1) * n // count) for k in range(count)]
     paths = cohort_paths(cfg.data_dir)
     Path(cfg.data_dir).mkdir(parents=True, exist_ok=True)

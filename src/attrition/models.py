@@ -12,12 +12,17 @@ solved exactly by least squares. All trainers are deterministic functions of
 
 The random forest grows all of its trees together, one level at a time
 (level-synchronous, as in SLIQ and SPRINT). Each column is ranked once per
-forest; a level's (node, candidate feature) groups are ordered by one stable
-integer argsort and scored by one segmented cumsum of the 0/1 labels, in
-chunks of at most _CHUNK_ELEMENTS (node, feature, row) elements (a node with
-more is scored alone), so scratch memory does not grow with the number of
-open nodes. The splits, tie-breaks and depth-first node order are those of a
-node-by-node recursive grower.
+forest. A level's (node, candidate feature) groups count their rows and
+positives per distinct value with two bincounts, as histogram split finding
+does (LightGBM), but with one bin per value, so the counts are exact. The
+level is scored in chunks of at most _CHUNK_ELEMENTS (node, feature, row)
+elements plus (node, feature, value) bins (a node with more is scored
+alone), so scratch memory does not grow with the number of open nodes. Each
+node's features are those numpy's Generator.choice draws from a generator
+keyed by the node; `_draw_features` computes a whole level's draws in one
+pass, and calls numpy only for the rare nodes its formula does not cover.
+The splits, tie-breaks and depth-first node order are those of a node-by-node
+recursive grower.
 """
 
 from __future__ import annotations
@@ -261,19 +266,117 @@ class ForestModel:
     n_features: int
 
 
-# (node, candidate feature, row) elements scored at once while a level grows
-_CHUNK_ELEMENTS = 1 << 13
+# (node, candidate feature, row) elements plus (node, candidate feature, value) bins scored at
+# once while a level grows
+_CHUNK_ELEMENTS = 1 << 14
+
+# numpy's SeedSequence hash and mix constants and PCG64 multiplier, restated by _draw_features
+_INIT_A, _MULT_A, _MIX_MULT_L, _MIX_MULT_R = 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_FLOYD_MAX_POPULATION = 10_000  # Generator.choice(d, replace=False) samples by Floyd up to this d
+_M32 = np.uint64(0xFFFFFFFF)
 
 
-def _dense_ranks(x: np.ndarray) -> np.ndarray:
-    """Each column as dense integer ranks: equal values share a rank."""
+def _hash_words(words: np.ndarray, calls: range, init: int, mult: int) -> np.ndarray:
+    """SeedSequence's hash of row i of the 32-bit words as its calls[i]-th hash since the constant
+    was `init`; each hash advances the constant by one factor `mult`."""
+    xor = np.array([init * pow(mult, c, 1 << 32) & 0xFFFFFFFF for c in calls], dtype=np.uint64)[:, None]
+    v = (words ^ xor) * (xor * np.uint64(mult) & _M32) & _M32
+    return v ^ (v >> np.uint64(16))
+
+
+def _limbs(values: list[int]) -> np.ndarray:
+    """Integers below 2^128 as a (4, len(values), 1) array of 32-bit limbs, least significant first."""
+    return np.array([[v >> 32 * i & 0xFFFFFFFF for v in values] for i in range(4)], dtype=np.uint64)[..., None]
+
+
+def _mul_add(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * c + b mod 2^128, each an array of 32-bit limbs along axis 0, least significant first."""
+    acc = np.zeros(np.broadcast_shapes(a.shape, c.shape, b.shape), dtype=np.uint64) + b
+    for i in range(4):
+        p = a[i] * c[: 4 - i]
+        acc[i:] += p & _M32
+        acc[i + 1:] += p[:-1] >> np.uint64(32)
+    for i in range(3):
+        acc[i + 1] += acc[i] >> np.uint64(32)
+    return acc & _M32
+
+
+def _draw_features(
+    node_keys: list[list[int]], tree: np.ndarray, heap: np.ndarray, d: int, nf: int
+) -> np.ndarray:
+    """np.sort(np.random.default_rng([*node_keys[tree[i]], heap[i]]).choice(d, nf, replace=False))
+    for every node i, shape (len(heap), nf), computed for all nodes at once.
+
+    It restates numpy's steps. SeedSequence hashes the words (k0, k1,
+    heap mod 2^32, heap >> 32) into its pool of four (a heap id below 2^32 is
+    one word, and numpy then hashes a 0 in the fourth place, the same as its
+    zero high word). generate_state(4, uint64) gives PCG64's seed and
+    increment; each output is the XSL-RR of the state after seeding and q
+    more steps, reached by one jump. The 32-bit draws are the low, then the
+    high half of each output. Floyd's sample takes j = d - nf, ..., d - 1,
+    each draw bounded to [0, j] by Lemire's method (no draw for j = 0), and a
+    value already taken is replaced by j; the sort undoes choice's final
+    shuffle. A node whose bounded draw numpy would reject and redraw, a heap
+    id of 2^64 or more (depth 64 on) and d over _FLOYD_MAX_POPULATION take
+    the call itself.
+    """
+    k = len(heap)
+    out = np.empty((nf, k), dtype=np.int64)
+    slow = (heap >= 1 << 64).astype(bool) | (d > _FLOYD_MAX_POPULATION)
+    if not slow.all():
+        h = np.where(slow, 0, heap).astype(np.uint64)
+        words = np.vstack([np.array(node_keys, dtype=np.uint64)[tree].T, h & _M32, h >> np.uint64(32)])
+        pool = _hash_words(words, range(4), _INIT_A, _MULT_A)
+        for src in range(4):
+            dst = [i for i in range(4) if i != src]
+            hashed = _hash_words(pool[[src] * 3], range(4 + 3 * src, 7 + 3 * src), _INIT_A, _MULT_A)
+            v = (pool[dst] * np.uint64(_MIX_MULT_L) - hashed * np.uint64(_MIX_MULT_R)) & _M32
+            pool[dst] = v ^ (v >> np.uint64(16))
+        w = _hash_words(np.tile(pool, (2, 1)), range(8), _INIT_B, _MULT_B)  # 4 uint64, low half first
+        seed, inc = w[[2, 3, 0, 1], None], w[[6, 7, 4, 5], None]  # s0 << 64 | s1 and s2 << 64 | s3
+        shifted_in = np.ones_like(inc)  # PCG64 uses the increment inc << 1 | 1
+        shifted_in[1:] = inc[:-1] >> np.uint64(31)
+        inc = (inc << np.uint64(1) | shifted_in) & _M32
+
+        # for M the multiplier, seeding leaves the state M * seed + (M + 1) * inc, and a step takes
+        # a * seed + b * inc to M * a * seed + (M * b + 1) * inc
+        drawn = np.arange(max(d - nf, 1), d, dtype=np.uint64)  # j = 0 takes no draw
+        a, b, seed_coef, inc_coef = _PCG_MULT, _PCG_MULT + 1, [], []
+        for _ in range(-(-len(drawn) // 2)):
+            a, b = a * _PCG_MULT % (1 << 128), (b * _PCG_MULT + 1) % (1 << 128)
+            seed_coef.append(a)
+            inc_coef.append(b)
+        state = _mul_add(seed, _limbs(seed_coef), _mul_add(inc, _limbs(inc_coef), np.uint64(0)))
+        x = (state[1] ^ state[3]) << np.uint64(32) | (state[0] ^ state[2])
+        rot = state[3] >> np.uint64(26)
+        x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
+        draws = np.stack([x & _M32, x >> np.uint64(32)], axis=1).reshape(-1, k)[: len(drawn)]
+
+        scaled = draws * (drawn + np.uint64(1))[:, None]
+        slow |= ((scaled & _M32) < ((_M32 - drawn) % (drawn + np.uint64(1)))[:, None]).any(axis=0)
+        values = np.zeros((nf, k), dtype=np.int64)
+        values[nf - len(drawn):] = scaled >> np.uint64(32)
+        for t, j in enumerate(range(d - nf, d)):
+            out[t] = np.where((out[:t] == values[t]).any(axis=0), j, values[t])
+    out = np.sort(out.T, axis=1)
+    for i in np.flatnonzero(slow):
+        out[i] = np.sort(np.random.default_rng([*node_keys[tree[i]], heap[i]]).choice(d, size=nf, replace=False))
+    return out
+
+
+def _dense_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each column as dense integer ranks (equal values share a rank), each column's number of
+    distinct values, and those values in rank order, column after column."""
     order = np.argsort(x, axis=0, kind="stable")
     svals = np.take_along_axis(x, order, axis=0)
-    dense = np.zeros(x.shape, dtype=np.int64)
-    np.cumsum(svals[1:] > svals[:-1], axis=0, out=dense[1:])
+    new = np.ones(x.shape, dtype=bool)
+    new[1:] = svals[1:] > svals[:-1]
+    dense = np.cumsum(new, axis=0) - 1
     ranks = np.empty_like(dense)
     np.put_along_axis(ranks, order, dense, axis=0)
-    return ranks
+    return ranks, new.sum(axis=0), svals.T[new.T]
 
 
 def _ranges(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,43 +386,54 @@ def _ranges(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _score_nodes(
-    x: np.ndarray, labels: np.ndarray, ranks: np.ndarray, rows: np.ndarray, start: np.ndarray,
-    m: np.ndarray, pos: np.ndarray, feats: np.ndarray, min_leaf: int,
+    labels: np.ndarray, ranks: np.ndarray, n_values: np.ndarray, values: np.ndarray,
+    rows: np.ndarray, start: np.ndarray, m: np.ndarray, pos: np.ndarray, feats: np.ndarray,
+    min_leaf: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact best Gini split of each node over its candidate features.
 
     Node i holds rows[start[i]:start[i] + m[i]], pos[i] of them positive, and
     may split on the sorted features feats[i]. Returns (feature, threshold)
-    per node, feature -1 where no split is valid. One stable argsort orders
-    every (node, feature) group by value and one cumsum counts the positives;
-    the Gini arithmetic is the same float operations on the same integer
-    counts as a per-node search. Ties go to the lowest feature, then the
-    lowest threshold: thresholds rise with sorted position, so that is the
-    first minimum in (feature, position) order.
+    per node, feature -1 where no split is valid. Column f has n_values[f]
+    distinct values (`_dense_ranks`), so each (node, feature) group owns that
+    many bins, one per value in rank order; one bincount of the rows' bins
+    counts the rows and one more, weighted by the 0/1 labels, the positives,
+    both exact integers. Cumulative sums over a group's nonempty bins are
+    the counts left of each value change, and a group's last nonempty bin is
+    no split. The Gini arithmetic is the same float operations on the same
+    integer counts as a per-node search. Ties go to the lowest feature, then
+    the lowest threshold: thresholds rise with the bins, so that is the first
+    minimum in (feature, bin) order.
     """
     k, nf = feats.shape
-    grp, within = _ranges(np.repeat(m, nf))  # group g is node g // nf, feature slot g % nf
-    node = grp // nf
-    row = rows[start[node] + within]
-    feat = feats.ravel()[grp]
-    row = row[np.argsort(grp * (x.shape[0] + 1) + ranks[row, feat], kind="stable")]
-    svals = x[row, feat]
-    sy = labels[row]
-    cum = np.cumsum(sy)
-    left_pos = cum - (cum - sy)[within == 0][grp]
+    feat = feats.ravel()  # group g is node g // nf, feature slot g % nf
+    width = n_values[feat]
+    base = np.cumsum(width) - width
+    grp, within = _ranges(np.repeat(m, nf))
+    row = rows[start[grp // nf] + within]
+    bins = base[grp] + ranks[row, feat[grp]]
+    per_bin = np.bincount(bins, minlength=base[-1] + width[-1])
+    at_bin = np.flatnonzero(per_bin)
+    count = per_bin[at_bin]
+    positives = np.bincount(bins, weights=labels[row], minlength=len(per_bin))[at_bin]
+    group = np.searchsorted(base, at_bin, side="right") - 1
+    group_start = np.r_[True, group[1:] != group[:-1]]  # every group has a nonempty bin
+    left_cnt = np.cumsum(count)
+    left_cnt -= (left_cnt - count)[group_start][group]
+    left_pos = np.cumsum(positives)
+    left_pos -= (left_pos - positives)[group_start][group]
 
-    left_cnt = within[:-1] + 1
-    right_cnt = m[node[:-1]] - left_cnt
-    valid = (svals[1:] > svals[:-1]) & (right_cnt > 0)
+    valid = ~group_start[1:]  # a next nonempty bin in the same group
     if min_leaf > 1:
-        valid &= (left_cnt >= min_leaf) & (right_cnt >= min_leaf)
+        right_cnt = m[group[:-1] // nf] - left_cnt[:-1]
+        valid &= (left_cnt[:-1] >= min_leaf) & (right_cnt >= min_leaf)
     best_feat = np.full(k, -1, dtype=np.int64)
     best_thr = np.zeros(k)
     at = np.flatnonzero(valid)
     if not at.size:
         return best_feat, best_thr
 
-    nd = node[at]
+    nd = group[at] // nf
     n_rows = m[nd].astype(float)
     lc = left_cnt[at].astype(float)
     rc = n_rows - lc
@@ -334,10 +448,12 @@ def _score_nodes(
     hits = np.flatnonzero(weighted == np.repeat(best, np.diff(np.r_[first, len(at)])))
     hit_node = nd[hits]
     e = at[hits[np.r_[True, hit_node[1:] != hit_node[:-1]]]]
-    lo, hi = svals[e], svals[e + 1]
+    best_group = group[e]
+    value_at = (np.cumsum(n_values) - n_values)[feat[best_group]] - base[best_group]
+    lo, hi = values[value_at + at_bin[e]], values[value_at + at_bin[e + 1]]
     thr = (lo + hi) / 2.0
     thr = np.where(thr >= hi, lo, thr)  # midpoint rounded up between adjacent floats
-    best_feat[nd[first]] = feat[e]
+    best_feat[nd[first]] = feat[best_group]
     best_thr[nd[first]] = thr
     return best_feat, best_thr
 
@@ -350,17 +466,18 @@ def _grow_forest(
 
     The open nodes of all trees keep their rows as consecutive segments of
     one flat array. Node h (root 1, children 2h and 2h + 1) of tree t draws
-    its features from a generator keyed by (node_keys[t], h), so no split
+    its features as a generator keyed by (node_keys[t], h) would, so no split
     depends on max_depth: the tree grown to depth d is this tree cut off at d
-    (`forest_predict(depths=)`). A level is scored in chunks of whole nodes,
-    at most _CHUNK_ELEMENTS (node, feature, row) elements each unless one
-    node alone has more, so scratch memory stays bounded however many nodes
-    are open; each split node's rows are then partitioned stably into its
-    two children.
+    (`forest_predict(depths=)`). `_draw_features` computes a level's draws in
+    one pass. A level is scored in chunks of whole nodes, at most
+    _CHUNK_ELEMENTS (node, feature, row) elements and (node, feature, value)
+    bins each unless one node alone has more, so scratch memory stays
+    bounded however many nodes are open; each split node's rows are then
+    partitioned stably into its two children.
     """
     n, d = x.shape
     nf = math.ceil(math.sqrt(d))
-    ranks = _dense_ranks(x)
+    ranks, n_values, values = _dense_ranks(x)
     rows = np.concatenate(bootstraps)
     tree = np.arange(len(bootstraps))
     heap = np.ones(len(bootstraps), dtype=object)  # Python ints: ids reach 2**63 at depth 63
@@ -375,18 +492,15 @@ def _grow_forest(
         if depth == params.max_depth:
             break
         cand = np.flatnonzero((m >= params.min_samples_split) & (pos > 0) & (pos < m))
-        feats = np.sort(np.array([
-            np.random.default_rng([*node_keys[tree[c]], heap[c]]).choice(d, size=nf, replace=False)
-            for c in cand
-        ], dtype=np.int64).reshape(len(cand), nf), axis=1)
-        cost = np.cumsum(m[cand]) * nf
+        feats = _draw_features(node_keys, tree[cand], heap[cand], d, nf)
+        cost = np.cumsum(m[cand] * nf + n_values[feats].sum(axis=1))
         lo = 0
         while lo < len(cand):
             spent = cost[lo - 1] if lo else 0
             hi = max(lo + 1, int(np.searchsorted(cost, spent + _CHUNK_ELEMENTS, side="right")))
             c = cand[lo:hi]
-            feature[c], threshold[c] = _score_nodes(x, labels, ranks, rows, start[c], m[c], pos[c],
-                                                    feats[lo:hi], params.min_samples_leaf)
+            feature[c], threshold[c] = _score_nodes(labels, ranks, n_values, values, rows, start[c], m[c],
+                                                    pos[c], feats[lo:hi], params.min_samples_leaf)
             lo = hi
         split = np.flatnonzero(feature >= 0)
         if not split.size:

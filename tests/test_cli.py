@@ -360,7 +360,7 @@ def _set_cpus(monkeypatch, pooled):
 @pytest.mark.parametrize("pooled", [False, True], ids=["in_process", "forked"])
 def test_generate_in_blocks_writes_the_whole_cohort(pooled, tmp_path, monkeypatch):
     _set_cpus(monkeypatch, pooled)
-    monkeypatch.setattr(cli, "BLOCK_STUDENTS", 7)  # 30 students: 5 blocks of 6
+    monkeypatch.setattr(cli, "BLOCK_STUDENTS", 7)  # 30 students: 5 blocks of 6 on one CPU, 6 of 5 on two
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"synth": {"n_students": 30, "seed": 11}}), encoding="utf-8")
     assert run(["generate", "--config", config, "--data", tmp_path / "data", "--out", tmp_path / "out"]) == 0
@@ -377,8 +377,8 @@ def test_a_failing_block_leaves_no_part_and_no_cohort(pooled, tmp_path, monkeypa
     whole = synthetic.generate_cohort
 
     def failing(cfg, students=None):
-        if students is not None and students.start >= 12:
-            raise ValueError(f"block at {students.start} failed")
+        if students is not None and 12 in students:
+            raise ValueError("the block of student 12 failed")
         return whole(cfg, students)
 
     monkeypatch.setattr(synthetic, "generate_cohort", failing)
@@ -387,7 +387,7 @@ def test_a_failing_block_leaves_no_part_and_no_cohort(pooled, tmp_path, monkeypa
     data = tmp_path / "data"
     assert run(["generate", "--config", config, "--data", data, "--out", tmp_path / "out"]) == 1
     err = capsys.readouterr().err
-    assert err == "error: generate: block at 12 failed\n"
+    assert err == "error: generate: the block of student 12 failed\n"
     assert list(data.iterdir()) == []
     assert multiprocessing.active_children() == []
 

@@ -16,6 +16,7 @@ from attrition.models import (
     ForestModel,
     ForestParams,
     KnnModel,
+    _draw_features,
     _Tree,
     fit_knn,
     forest_predict,
@@ -721,6 +722,61 @@ def test_level_wise_forest_equals_reference_past_depth_63():
         if left >= 0:
             depth[left] = depth[right] = depth[node] + 1
     assert max(depth) > 63
+
+
+@pytest.mark.parametrize("min_leaf", [1, 3])
+def test_level_wise_forest_equals_reference_when_values_outnumber_rows(min_leaf):
+    # a column of 200 distinct values beside two binary ones: below the top
+    # levels every node holds fewer rows than that column has value bins
+    rng = np.random.default_rng(12)
+    x = np.column_stack([rng.permutation(200) / 7.0, rng.integers(0, 2, size=(200, 2))])
+    y = ((x[:, 0] > 12.0) ^ (x[:, 1] == 1.0) ^ (rng.random(200) < 0.4)).astype(float)
+    grown = assert_same_forest(x, y, ForestParams(n_trees=10, max_depth=12, min_samples_leaf=min_leaf),
+                               seed=5)
+    depth = []
+    for tree in grown["trees"]:
+        level = {0: 0}
+        for node, (left, right) in enumerate(zip(tree["left"], tree["right"])):
+            if left >= 0:
+                level[left] = level[right] = level[node] + 1
+        depth.append(max(level.values()))
+    assert max(depth) == 12
+
+
+def numpy_draw(key: list[int], heap_id: int, d: int) -> np.ndarray:
+    """The features of one node as a generator of its own draws them."""
+    return np.sort(np.random.default_rng([*key, heap_id]).choice(d, size=math.ceil(math.sqrt(d)),
+                                                                 replace=False))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 90, 300])
+def test_level_draw_equals_a_generator_per_node(d):
+    rng = np.random.default_rng(d)
+    keys = [[0, 0], [0, 2**32 - 1], [2**32 - 1, 0], [2**32 - 1, 2**32 - 1]]
+    keys += rng.integers(0, 2**32, size=(60, 2)).tolist()
+    # heap ids one 32-bit word, two words, the depth-63 top, and from 2**64 on (the generator itself)
+    edges = [1, 2, 3, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**65 + 3]
+    heap = edges * 4 + rng.integers(1, 2**32, size=1000).tolist()
+    heap += rng.integers(2**32, 2**64 - 1, size=1000, dtype=np.uint64, endpoint=True).tolist()
+    tree = np.r_[np.repeat(np.arange(4), len(edges)), rng.integers(0, len(keys), size=2000)]
+    expected = np.array([numpy_draw(keys[t], h, d) for t, h in zip(tree, heap)])
+    got = _draw_features(keys, tree, np.array(heap, dtype=object), d, math.ceil(math.sqrt(d)))
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("d,heap_id", [(90, 10_416_175), (300, 1_320_123)])
+def test_a_draw_numpy_would_redraw_comes_from_the_generator(d, heap_id, monkeypatch):
+    # with key (7, 11), this node's Lemire-bounded draw is rejected and drawn
+    # again: one node in about 10**7 (d = 90) or 1.7 * 10**6 (d = 300)
+    heap = [heap_id - 1, heap_id, heap_id + 1]
+    expected = np.array([numpy_draw([7, 11], h, d) for h in heap])
+    seeds = []
+    generator = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or generator(seed))
+    got = _draw_features([[7, 11]], np.zeros(3, dtype=np.int64), np.array(heap, dtype=object), d,
+                         math.ceil(math.sqrt(d)))
+    assert seeds == [[7, 11, heap_id]]
+    assert np.array_equal(got, expected)
 
 
 def test_forest_growth_memory_stays_bounded(default_train_matrix):
