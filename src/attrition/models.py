@@ -18,11 +18,11 @@ does (LightGBM), but with one bin per value, so the counts are exact. The
 level is scored in chunks of at most _CHUNK_ELEMENTS (node, feature, row)
 elements plus (node, feature, value) bins (a node with more is scored
 alone), so scratch memory does not grow with the number of open nodes. Each
-node's features are those numpy's Generator.choice draws from a generator
-keyed by the node; `_draw_features` computes a whole level's draws in one
-pass, and calls numpy only for the rare nodes its formula does not cover.
-The splits, tie-breaks and depth-first node order are those of a node-by-node
-recursive grower.
+node has a 64-bit key, and its candidate features are those that score
+lowest in the key's splitmix64 stream (a counter-based draw, as in Salmon et
+al. 2011), so a level's draws are a few array operations. The splits,
+tie-breaks and depth-first node order are those of a node-by-node recursive
+grower.
 """
 
 from __future__ import annotations
@@ -270,99 +270,25 @@ class ForestModel:
 # once while a level grows
 _CHUNK_ELEMENTS = 1 << 14
 
-# numpy's SeedSequence hash and mix constants and PCG64 multiplier, restated by _draw_features
-_INIT_A, _MULT_A, _MIX_MULT_L, _MIX_MULT_R = 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_FLOYD_MAX_POPULATION = 10_000  # Generator.choice(d, replace=False) samples by Floyd up to this d
-_M32 = np.uint64(0xFFFFFFFF)
+
+def _splitmix(state: np.ndarray, outputs: np.ndarray) -> np.ndarray:
+    """Output i of the splitmix64 stream with state s (Steele, Lea & Flood 2014), broadcast over
+    uint64 states and outputs: the finalizer of s + (i + 1) * 0x9E3779B97F4A7C15, mod 2^64."""
+    z = state + (outputs + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-def _hash_words(words: np.ndarray, calls: range, init: int, mult: int) -> np.ndarray:
-    """SeedSequence's hash of row i of the 32-bit words as its calls[i]-th hash since the constant
-    was `init`; each hash advances the constant by one factor `mult`."""
-    xor = np.array([init * pow(mult, c, 1 << 32) & 0xFFFFFFFF for c in calls], dtype=np.uint64)[:, None]
-    v = (words ^ xor) * (xor * np.uint64(mult) & _M32) & _M32
-    return v ^ (v >> np.uint64(16))
-
-
-def _limbs(values: list[int]) -> np.ndarray:
-    """Integers below 2^128 as a (4, len(values), 1) array of 32-bit limbs, least significant first."""
-    return np.array([[v >> 32 * i & 0xFFFFFFFF for v in values] for i in range(4)], dtype=np.uint64)[..., None]
-
-
-def _mul_add(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * c + b mod 2^128, each an array of 32-bit limbs along axis 0, least significant first."""
-    acc = np.zeros(np.broadcast_shapes(a.shape, c.shape, b.shape), dtype=np.uint64) + b
-    for i in range(4):
-        p = a[i] * c[: 4 - i]
-        acc[i:] += p & _M32
-        acc[i + 1:] += p[:-1] >> np.uint64(32)
-    for i in range(3):
-        acc[i + 1] += acc[i] >> np.uint64(32)
-    return acc & _M32
-
-
-def _draw_features(
-    node_keys: list[list[int]], tree: np.ndarray, heap: np.ndarray, d: int, nf: int
-) -> np.ndarray:
-    """np.sort(np.random.default_rng([*node_keys[tree[i]], heap[i]]).choice(d, nf, replace=False))
-    for every node i, shape (len(heap), nf), computed for all nodes at once.
-
-    It restates numpy's steps. SeedSequence hashes the words (k0, k1,
-    heap mod 2^32, heap >> 32) into its pool of four (a heap id below 2^32 is
-    one word, and numpy then hashes a 0 in the fourth place, the same as its
-    zero high word). generate_state(4, uint64) gives PCG64's seed and
-    increment; each output is the XSL-RR of the state after seeding and q
-    more steps, reached by one jump. The 32-bit draws are the low, then the
-    high half of each output. Floyd's sample takes j = d - nf, ..., d - 1,
-    each draw bounded to [0, j] by Lemire's method (no draw for j = 0), and a
-    value already taken is replaced by j; the sort undoes choice's final
-    shuffle. A node whose bounded draw numpy would reject and redraw, a heap
-    id of 2^64 or more (depth 64 on) and d over _FLOYD_MAX_POPULATION take
-    the call itself.
-    """
-    k = len(heap)
-    out = np.empty((nf, k), dtype=np.int64)
-    slow = (heap >= 1 << 64).astype(bool) | (d > _FLOYD_MAX_POPULATION)
-    if not slow.all():
-        h = np.where(slow, 0, heap).astype(np.uint64)
-        words = np.vstack([np.array(node_keys, dtype=np.uint64)[tree].T, h & _M32, h >> np.uint64(32)])
-        pool = _hash_words(words, range(4), _INIT_A, _MULT_A)
-        for src in range(4):
-            dst = [i for i in range(4) if i != src]
-            hashed = _hash_words(pool[[src] * 3], range(4 + 3 * src, 7 + 3 * src), _INIT_A, _MULT_A)
-            v = (pool[dst] * np.uint64(_MIX_MULT_L) - hashed * np.uint64(_MIX_MULT_R)) & _M32
-            pool[dst] = v ^ (v >> np.uint64(16))
-        w = _hash_words(np.tile(pool, (2, 1)), range(8), _INIT_B, _MULT_B)  # 4 uint64, low half first
-        seed, inc = w[[2, 3, 0, 1], None], w[[6, 7, 4, 5], None]  # s0 << 64 | s1 and s2 << 64 | s3
-        shifted_in = np.ones_like(inc)  # PCG64 uses the increment inc << 1 | 1
-        shifted_in[1:] = inc[:-1] >> np.uint64(31)
-        inc = (inc << np.uint64(1) | shifted_in) & _M32
-
-        # for M the multiplier, seeding leaves the state M * seed + (M + 1) * inc, and a step takes
-        # a * seed + b * inc to M * a * seed + (M * b + 1) * inc
-        drawn = np.arange(max(d - nf, 1), d, dtype=np.uint64)  # j = 0 takes no draw
-        a, b, seed_coef, inc_coef = _PCG_MULT, _PCG_MULT + 1, [], []
-        for _ in range(-(-len(drawn) // 2)):
-            a, b = a * _PCG_MULT % (1 << 128), (b * _PCG_MULT + 1) % (1 << 128)
-            seed_coef.append(a)
-            inc_coef.append(b)
-        state = _mul_add(seed, _limbs(seed_coef), _mul_add(inc, _limbs(inc_coef), np.uint64(0)))
-        x = (state[1] ^ state[3]) << np.uint64(32) | (state[0] ^ state[2])
-        rot = state[3] >> np.uint64(26)
-        x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
-        draws = np.stack([x & _M32, x >> np.uint64(32)], axis=1).reshape(-1, k)[: len(drawn)]
-
-        scaled = draws * (drawn + np.uint64(1))[:, None]
-        slow |= ((scaled & _M32) < ((_M32 - drawn) % (drawn + np.uint64(1)))[:, None]).any(axis=0)
-        values = np.zeros((nf, k), dtype=np.int64)
-        values[nf - len(drawn):] = scaled >> np.uint64(32)
-        for t, j in enumerate(range(d - nf, d)):
-            out[t] = np.where((out[:t] == values[t]).any(axis=0), j, values[t])
-    out = np.sort(out.T, axis=1)
-    for i in np.flatnonzero(slow):
-        out[i] = np.sort(np.random.default_rng([*node_keys[tree[i]], heap[i]]).choice(d, size=nf, replace=False))
+def _draw_features(keys: np.ndarray, d: int, nf: int) -> np.ndarray:
+    """Each node's nf features with the lowest scores, sorted, shape (len(keys), nf). Feature f
+    scores output 2 + f of the stream of the node's key; the finalizer is a bijection, so one
+    stream's outputs never tie. At most _CHUNK_ELEMENTS scores are held at once."""
+    out = np.empty((len(keys), nf), dtype=np.int64)
+    block = max(1, _CHUNK_ELEMENTS // d)
+    for lo in range(0, len(keys), block):
+        scores = _splitmix(keys[lo:lo + block, None], np.arange(2, d + 2, dtype=np.uint64))
+        out[lo:lo + block] = np.sort(np.argpartition(scores, nf - 1, axis=1)[:, :nf], axis=1)
     return out
 
 
@@ -417,7 +343,7 @@ def _score_nodes(
     count = per_bin[at_bin]
     positives = np.bincount(bins, weights=labels[row], minlength=len(per_bin))[at_bin]
     group = np.searchsorted(base, at_bin, side="right") - 1
-    group_start = np.r_[True, group[1:] != group[:-1]]  # every group has a nonempty bin
+    group_start = np.concatenate(([True], group[1:] != group[:-1]))  # every group has a nonempty bin
     left_cnt = np.cumsum(count)
     left_cnt -= (left_cnt - count)[group_start][group]
     left_pos = np.cumsum(positives)
@@ -443,11 +369,11 @@ def _score_nodes(
     gini_right = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
     weighted = (lc * gini_left + rc * gini_right) / n_rows
 
-    first = np.flatnonzero(np.r_[True, nd[1:] != nd[:-1]])
+    first = np.flatnonzero(np.concatenate(([True], nd[1:] != nd[:-1])))
     best = np.minimum.reduceat(weighted, first)
-    hits = np.flatnonzero(weighted == np.repeat(best, np.diff(np.r_[first, len(at)])))
+    hits = np.flatnonzero(weighted == np.repeat(best, np.diff(np.concatenate((first, [len(at)])))))
     hit_node = nd[hits]
-    e = at[hits[np.r_[True, hit_node[1:] != hit_node[:-1]]]]
+    e = at[hits[np.concatenate(([True], hit_node[1:] != hit_node[:-1]))]]
     best_group = group[e]
     value_at = (np.cumsum(n_values) - n_values)[feat[best_group]] - base[best_group]
     lo, hi = values[value_at + at_bin[e]], values[value_at + at_bin[e + 1]]
@@ -460,27 +386,28 @@ def _score_nodes(
 
 def _grow_forest(
     x: np.ndarray, labels: np.ndarray, params: ForestParams,
-    bootstraps: list[np.ndarray], node_keys: list[list[int]],
+    bootstraps: list[np.ndarray], root_keys: np.ndarray,
 ) -> list[_Tree]:
     """Grow every tree one level at a time; nodes come out in depth-first preorder.
 
     The open nodes of all trees keep their rows as consecutive segments of
-    one flat array. Node h (root 1, children 2h and 2h + 1) of tree t draws
-    its features as a generator keyed by (node_keys[t], h) would, so no split
-    depends on max_depth: the tree grown to depth d is this tree cut off at d
-    (`forest_predict(depths=)`). `_draw_features` computes a level's draws in
-    one pass. A level is scored in chunks of whole nodes, at most
-    _CHUNK_ELEMENTS (node, feature, row) elements and (node, feature, value)
-    bins each unless one node alone has more, so scratch memory stays
-    bounded however many nodes are open; each split node's rows are then
-    partitioned stably into its two children.
+    one flat array. Tree t's root has the 64-bit key root_keys[t]; outputs 0
+    and 1 of a node's splitmix64 stream are its left and right children's
+    keys, and the rest score its features (`_draw_features`). A key depends
+    only on the node's path, so no split depends on max_depth: the tree grown
+    to depth d is this tree cut off at d (`forest_predict(depths=)`). A level
+    is scored in chunks of whole nodes, at most _CHUNK_ELEMENTS (node,
+    feature, row) elements and (node, feature, value) bins each unless one
+    node alone has more, so scratch memory stays bounded however many nodes
+    are open; each split node's rows are then partitioned stably into its two
+    children.
     """
     n, d = x.shape
     nf = math.ceil(math.sqrt(d))
     ranks, n_values, values = _dense_ranks(x)
     rows = np.concatenate(bootstraps)
     tree = np.arange(len(bootstraps))
-    heap = np.ones(len(bootstraps), dtype=object)  # Python ints: ids reach 2**63 at depth 63
+    key = root_keys
     m = np.full(len(bootstraps), n)
     levels = []  # (tree, feature, threshold, prob) of each level's nodes
     for depth in range(params.max_depth + 1):
@@ -492,7 +419,7 @@ def _grow_forest(
         if depth == params.max_depth:
             break
         cand = np.flatnonzero((m >= params.min_samples_split) & (pos > 0) & (pos < m))
-        feats = _draw_features(node_keys, tree[cand], heap[cand], d, nf)
+        feats = _draw_features(key[cand], d, nf)
         cost = np.cumsum(m[cand] * nf + n_values[feats].sum(axis=1))
         lo = 0
         while lo < len(cand):
@@ -512,7 +439,7 @@ def _grow_forest(
         n_left = np.bincount(seg[goes_left], minlength=split.size)
         m = np.column_stack([n_left, m[split] - n_left]).ravel()
         tree = np.repeat(tree[split], 2)
-        heap = np.column_stack([2 * heap[split], 2 * heap[split] + 1]).ravel()
+        key = _splitmix(key[split, None], np.arange(2, dtype=np.uint64)).ravel()
     return _preorder_trees(levels)
 
 
@@ -562,8 +489,8 @@ def train_forest(
     """Random forest of Gini trees on bootstrap resamples, deterministic in seed.
 
     Each tree runs off its own spawned seed: bootstrap rows from its stream,
-    node features from generators keyed by it. All trees are grown together,
-    one level at a time (`_grow_forest`).
+    and its root's node key from its state, which keys every node's feature
+    draw. All trees are grown together, one level at a time (`_grow_forest`).
     """
     x, y = _check_design(x, y)
     classes = np.unique(y)
@@ -574,8 +501,8 @@ def train_forest(
     n, d = x.shape
     seeds = np.random.SeedSequence(seed).spawn(params.n_trees)
     bootstraps = [np.random.default_rng(tree_seed).integers(0, n, size=n) for tree_seed in seeds]
-    node_keys = [[int(v) for v in tree_seed.generate_state(2)] for tree_seed in seeds]
-    return ForestModel(_grow_forest(x, y.astype(np.int64), params, bootstraps, node_keys),
+    root_keys = np.array([tree_seed.generate_state(1, np.uint64)[0] for tree_seed in seeds])
+    return ForestModel(_grow_forest(x, y.astype(np.int64), params, bootstraps, root_keys),
                        params, seed, d)
 
 

@@ -16,6 +16,7 @@ from attrition.models import (
     ForestModel,
     ForestParams,
     KnnModel,
+    _CHUNK_ELEMENTS,
     _draw_features,
     _Tree,
     fit_knn,
@@ -593,15 +594,31 @@ def _best_split(
     return choice
 
 
+def splitmix(state: int, i: int) -> int:
+    """Output i of the splitmix64 stream with state `state`, in Python integers."""
+    z = (state + (i + 1) * 0x9E3779B97F4A7C15) % 2**64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+    return z ^ z >> 31
+
+
+def splitmix_draw(key: int, d: int, nf: int) -> list[int]:
+    """The nf features of a node with this key: lowest score splitmix(key, 2 + f) first, a tie to
+    the lower feature, returned sorted."""
+    return sorted(sorted(range(d), key=lambda f: (splitmix(key, 2 + f), f))[:nf])
+
+
 def _grow_tree(
     x: np.ndarray, y: np.ndarray, rows: np.ndarray, params: ForestParams,
-    nf: int, node_key: list[int],
+    nf: int, root_key: int,
 ) -> _Tree:
     """Grow one tree on the bootstrap `rows`, nodes in depth-first preorder.
 
-    Node h (root 1, children 2h and 2h + 1) draws its features from a
-    generator keyed by (node_key, h), so no split depends on max_depth: the
-    tree grown to depth d is this tree cut off at d (`forest_predict(depths=)`).
+    The root has key `root_key`, and a node with key k gives its children
+    the keys splitmix(k, 0) and splitmix(k, 1) and draws its features by
+    `splitmix_draw`. A key is 64 bits at any depth and depends only on the
+    node's path, so no split depends on max_depth: the tree grown to depth d
+    is this tree cut off at d (`forest_predict(depths=)`).
     """
     feature: list[int] = []
     threshold: list[float] = []
@@ -619,13 +636,12 @@ def _grow_tree(
         prob.append(float(y[node_rows].mean()))
         return idx
 
-    def build(node_rows: np.ndarray, depth: int, heap_id: int) -> int:
+    def build(node_rows: np.ndarray, depth: int, key: int) -> int:
         m = node_rows.shape[0]
         pos = float(y[node_rows].sum())
         if depth >= params.max_depth or m < params.min_samples_split or pos == 0.0 or pos == m:
             return leaf(node_rows)
-        node_rng = np.random.default_rng([*node_key, heap_id])
-        feats = np.sort(node_rng.choice(d, size=nf, replace=False))
+        feats = np.array(splitmix_draw(key, d, nf))
         split = _best_split(x, y, node_rows, feats, params.min_samples_leaf)
         if split is None:
             return leaf(node_rows)
@@ -637,13 +653,13 @@ def _grow_tree(
         left.append(-1)
         right.append(-1)
         prob.append(float(y[node_rows].mean()))
-        left_idx = build(node_rows[mask], depth + 1, 2 * heap_id)
-        right_idx = build(node_rows[~mask], depth + 1, 2 * heap_id + 1)
+        left_idx = build(node_rows[mask], depth + 1, splitmix(key, 0))
+        right_idx = build(node_rows[~mask], depth + 1, splitmix(key, 1))
         left[idx] = left_idx
         right[idx] = right_idx
         return idx
 
-    build(rows, 0, 1)
+    build(rows, 0, root_key)
     return _Tree(
         np.array(feature, dtype=np.int64),
         np.array(threshold, dtype=float),
@@ -654,15 +670,15 @@ def _grow_tree(
 
 
 def reference_forest(x: np.ndarray, y: np.ndarray, params: ForestParams, seed: int) -> ForestModel:
-    """`train_forest` by the recursive grower: same seeds, bootstraps and draws."""
+    """`train_forest` by the recursive grower: same seeds, bootstraps and root keys."""
     n, d = x.shape
     nf = math.ceil(math.sqrt(d))
     seeds = np.random.SeedSequence(seed).spawn(params.n_trees)
     trees = []
     for tree_seed in seeds:
         rows = np.random.default_rng(tree_seed).integers(0, n, size=n)
-        node_key = [int(v) for v in tree_seed.generate_state(2)]
-        trees.append(_grow_tree(x, y, rows, params, nf, node_key))
+        root_key = int(tree_seed.generate_state(1, np.uint64)[0])
+        trees.append(_grow_tree(x, y, rows, params, nf, root_key))
     return ForestModel(trees, params, seed, d)
 
 
@@ -712,7 +728,8 @@ def test_level_wise_forest_equals_reference_on_tie_heavy_data(
 
 def test_level_wise_forest_equals_reference_past_depth_63():
     # alternating labels peel off a few rows per split, so this tree grows
-    # 92 levels deep and its heap node ids pass 2**63
+    # 92 levels deep, past where a node numbered 2^depth would need 64 bits;
+    # a node key stays one 64-bit splitmix64 output at every depth
     x = np.column_stack([np.arange(1500), np.arange(1500)[::-1]]).astype(float)
     y = (np.arange(1500) % 2).astype(float)
     grown = assert_same_forest(x, y, ForestParams(n_trees=1, max_depth=100), seed=1)
@@ -743,40 +760,35 @@ def test_level_wise_forest_equals_reference_when_values_outnumber_rows(min_leaf)
     assert max(depth) == 12
 
 
-def numpy_draw(key: list[int], heap_id: int, d: int) -> np.ndarray:
-    """The features of one node as a generator of its own draws them."""
-    return np.sort(np.random.default_rng([*key, heap_id]).choice(d, size=math.ceil(math.sqrt(d)),
-                                                                 replace=False))
+def test_splitmix_oracle_matches_published_outputs():
+    # splitmix64's reference outputs: the first from state 0, the first five from state 1234567
+    assert splitmix(0, 0) == 0xE220A8397B1DCDAF
+    assert [splitmix(1234567, i) for i in range(5)] == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423,
+        4593380528125082431, 16408922859458223821,
+    ]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 90, 300])
-def test_level_draw_equals_a_generator_per_node(d):
-    rng = np.random.default_rng(d)
-    keys = [[0, 0], [0, 2**32 - 1], [2**32 - 1, 0], [2**32 - 1, 2**32 - 1]]
-    keys += rng.integers(0, 2**32, size=(60, 2)).tolist()
-    # heap ids one 32-bit word, two words, the depth-63 top, and from 2**64 on (the generator itself)
-    edges = [1, 2, 3, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**65 + 3]
-    heap = edges * 4 + rng.integers(1, 2**32, size=1000).tolist()
-    heap += rng.integers(2**32, 2**64 - 1, size=1000, dtype=np.uint64, endpoint=True).tolist()
-    tree = np.r_[np.repeat(np.arange(4), len(edges)), rng.integers(0, len(keys), size=2000)]
-    expected = np.array([numpy_draw(keys[t], h, d) for t, h in zip(tree, heap)])
-    got = _draw_features(keys, tree, np.array(heap, dtype=object), d, math.ceil(math.sqrt(d)))
-    assert np.array_equal(got, expected)
+def test_level_draw_equals_the_splitmix_oracle(d):
+    nf = math.ceil(math.sqrt(d))
+    # two blocks and one node more, so the draw crosses a block boundary
+    n_nodes = 2 * max(1, _CHUNK_ELEMENTS // d) + 1
+    keys = [0, 2**64 - 1] + np.random.default_rng(d).integers(
+        0, 2**64 - 1, size=n_nodes - 2, dtype=np.uint64, endpoint=True).tolist()
+    got = _draw_features(np.array(keys, dtype=np.uint64), d, nf)
+    assert got.shape == (n_nodes, nf) and got.dtype == np.int64
+    assert ((got >= 0) & (got < d)).all() and (np.diff(got, axis=1) > 0).all()
+    assert got.tolist() == [splitmix_draw(key, d, nf) for key in keys]
 
 
-@pytest.mark.parametrize("d,heap_id", [(90, 10_416_175), (300, 1_320_123)])
-def test_a_draw_numpy_would_redraw_comes_from_the_generator(d, heap_id, monkeypatch):
-    # with key (7, 11), this node's Lemire-bounded draw is rejected and drawn
-    # again: one node in about 10**7 (d = 90) or 1.7 * 10**6 (d = 300)
-    heap = [heap_id - 1, heap_id, heap_id + 1]
-    expected = np.array([numpy_draw([7, 11], h, d) for h in heap])
-    seeds = []
-    generator = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or generator(seed))
-    got = _draw_features([[7, 11]], np.zeros(3, dtype=np.int64), np.array(heap, dtype=object), d,
-                         math.ceil(math.sqrt(d)))
-    assert seeds == [[7, 11, heap_id]]
-    assert np.array_equal(got, expected)
+def test_level_draw_picks_every_feature_about_equally_often():
+    # 20,000 consecutive keys at d = 90 pick each feature 20,000 * 10 / 90 = 2,222 times in
+    # expectation, with a binomial SD of 44; a bound of 10% is five SDs
+    d, nf, n_nodes = 90, 10, 20_000
+    counts = np.bincount(_draw_features(np.arange(n_nodes, dtype=np.uint64), d, nf).ravel(), minlength=d)
+    assert counts.sum() == n_nodes * nf
+    assert np.abs(counts - n_nodes * nf / d).max() < 0.1 * n_nodes * nf / d
 
 
 def test_forest_growth_memory_stays_bounded(default_train_matrix):
