@@ -2,6 +2,13 @@
 
 __version__ = "0.1.0"
 
+import os
+
+# One BLAS thread per process, set before numpy loads OpenBLAS: a threaded sum adds in an
+# order that depends on the CPU count, and the CV workers already use every CPU. A count
+# the user has set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .config import RunConfig
 from .labeling import LabeledDataset, OutcomeLabel, balance, enrollment_terms, label_all, label_outcome, window_allowance
 from .records import Demographics, EntryInfo, StudentRecord, TranscriptEntry, term_index, year_quarter

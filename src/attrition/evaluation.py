@@ -6,12 +6,9 @@ come from a seeded shuffle followed by contiguous blocks. ROC curves sweep
 every distinct score threshold, and the trapezoidal AUC agrees with the
 Mann-Whitney pair statistic (ties count one half) to float precision.
 
-`cv_tune` scores the random-forest and kNN folds in forked worker processes
+`cv_tune` scores the folds of every model kind in forked worker processes
 (`workers.ordered_map`), one per CPU the process may use, and reads their
 scores back in fold order, so no result depends on the CPU count.
-Logistic-regression and ridge folds stay in-process: their fits call
-OpenBLAS, which runs threads of its own, and with its folds in two workers
-the logistic search took 1.0-3.2 s instead of 0.47 s (oversubscribed CPUs).
 """
 
 from __future__ import annotations
@@ -183,13 +180,12 @@ def cv_tune(
     are fitted once for the whole grid where the learner allows it; the
     forest's `max_depth` comes from the grid, not from `forest_params`.
 
-    Random-forest and kNN folds run in `workers.ordered_map`'s forked workers,
-    one per usable CPU up to `folds`, which inherit x and y: a task
-    carries only its fold number. Logistic regression and ridge, whose fits
-    run OpenBLAS threads, stay in-process, as does every search with one CPU
-    or without `fork`. This process computes every AUC, RMSE and mean from
-    the folds' scores in fold order, so the result does not depend on the
-    CPU count and an error names the first failing fold.
+    The folds run in `workers.ordered_map`'s forked workers, one per usable
+    CPU up to `folds`, which inherit x and y: a task carries only its fold
+    number. With one CPU or without `fork` they run in-process. This process
+    computes every AUC, RMSE and mean from the folds' scores in fold order,
+    so the result does not depend on the CPU count and an error names the
+    first failing fold.
     """
     if len(grid) == 0:
         raise ValueError("hyperparameter grid is empty")
@@ -201,7 +197,7 @@ def cv_tune(
     shared = (kind, values, x, y, fold_idx, forest_seeds, params)
 
     fold_scores: list[list[float]] = [[] for _ in values]
-    with ordered_map(_fold_grid_scores, range(folds), shared, parallel=kind in ("random_forest", "knn")) as results:
+    with ordered_map(_fold_grid_scores, range(folds), shared) as results:
         for f, va in enumerate(fold_idx):
             try:
                 for per_value, scores in zip(fold_scores, next(results)):

@@ -435,9 +435,15 @@ def _grow_forest(
         seg, within = _ranges(m[split])
         node_rows = rows[start[split][seg] + within]
         goes_left = x[node_rows, feature[split][seg]] <= threshold[split][seg]
-        rows = node_rows[np.argsort(2 * seg + ~goes_left, kind="stable")]
-        n_left = np.bincount(seg[goes_left], minlength=split.size)
-        m = np.column_stack([n_left, m[split] - n_left]).ravel()
+        left, right = np.flatnonzero(goes_left), np.flatnonzero(~goes_left)
+        n_left = np.bincount(seg[left], minlength=split.size)
+        n_right = m[split] - n_left
+        m = np.column_stack([n_left, n_right]).ravel()
+        # counting partition, each side in its node's order: the k-th left row of the level lands after
+        # the right rows of the nodes before its own, the k-th right row after the left rows up to its own
+        rows = np.empty_like(node_rows)
+        rows[np.arange(left.size) + (np.cumsum(n_right) - n_right)[seg[left]]] = node_rows[left]
+        rows[np.arange(right.size) + np.cumsum(n_left)[seg[right]]] = node_rows[right]
         tree = np.repeat(tree[split], 2)
         key = _splitmix(key[split, None], np.arange(2, dtype=np.uint64)).ravel()
     return _preorder_trees(levels)

@@ -1,11 +1,13 @@
 """Independent tasks on every CPU the process may use, with their results in task order.
 
 `ordered_map` is the one pool of the package: `evaluation.cv_tune` scores
-forest and kNN folds with it, and the `generate` stage writes blocks of
-students. Its workers are forked, so the shared arguments reach them without
-being pickled; only a task and its result are. With one CPU, one task, or no
-`fork`, the same function runs in-process, so a caller has one code path
-whatever the CPU count.
+the folds of every model kind with it, and the `generate` stage writes blocks
+of students. Its workers are forked, so the shared arguments reach them
+without being pickled; only a task and its result are. Each process runs one
+BLAS thread (the package's `__init__`), so one worker per CPU does not
+oversubscribe the CPUs. With one CPU, one task, or no `fork`, the same
+function runs in-process, so a caller has one code path whatever the CPU
+count.
 """
 
 from __future__ import annotations
@@ -32,18 +34,18 @@ def _call(fn, task):
 
 
 @contextmanager
-def ordered_map(fn, tasks, shared: tuple = (), parallel: bool = True):
+def ordered_map(fn, tasks, shared: tuple = ()):
     """Yield an iterator over `fn(task, *shared)` for each of `tasks`, in task order.
 
-    With `parallel`, the tasks run in `min(len(tasks), usable_cpus())` forked
-    workers, which inherit `shared`; a worker's exception is raised when its
-    result is reached, with the worker's traceback as its cause. Otherwise, or
-    with one worker or without `fork`, the iterator calls `fn` in-process as it
-    advances. Leaving the block drops the tasks not yet started and waits for
-    every worker to exit.
+    The tasks run in `min(len(tasks), usable_cpus())` forked workers, which
+    inherit `shared`; a worker's exception is raised when its result is
+    reached, with the worker's traceback as its cause. With one worker or
+    without `fork`, the iterator calls `fn` in-process as it advances. Leaving
+    the block drops the tasks not yet started and waits for every worker to
+    exit.
     """
     tasks = list(tasks)
-    workers = min(len(tasks), usable_cpus()) if parallel else 1
+    workers = min(len(tasks), usable_cpus())
     if workers > 1:
         import multiprocessing  # not at the top: it costs every stage process ~1.3 MB
         from concurrent.futures import ProcessPoolExecutor

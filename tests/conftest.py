@@ -1,3 +1,4 @@
+import attrition  # first: it sets one BLAS thread, which holds only if numpy has not loaded OpenBLAS yet
 import numpy as np
 import pytest
 

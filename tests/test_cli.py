@@ -309,11 +309,11 @@ def test_unknown_config_field_is_an_error(tmp_path, capsys):
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
-def test_the_cpu_count_changes_no_output_byte(tmp_path):
-    # 400 students make one block of `generate` per CPU, and `train` scores its forest and kNN
-    # folds in one worker per CPU. OpenBLAS sizes its thread pool from the CPU set too, and that
-    # moves the last bits of the logistic-regression files (ROADMAP); both runs hold it at one
-    # thread, so only the number of blocks and workers differs between them
+def test_the_cpu_count_changes_no_output_byte(tmp_path, monkeypatch):
+    # 400 students make one block of `generate` per CPU, and `train` scores the folds of every
+    # model in one worker per CPU. With no BLAS variable set, the package itself holds OpenBLAS
+    # at one thread, whose sums would otherwise add in an order set by the CPU count
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)  # this process's package import set it
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"synth": {"n_students": 400}, "forest_n_trees": 10}), encoding="utf-8")
     cpu = min(os.sched_getaffinity(0))
@@ -322,7 +322,7 @@ def test_the_cpu_count_changes_no_output_byte(tmp_path):
         run_dir = tmp_path / name
         run_dir.mkdir()
         done = run_python(["-m", "attrition.cli", "pipeline", "--seed", 201, "--config", config,
-                           "--data", "data", "--out", "out"], run_dir, preexec_fn=pin, OPENBLAS_NUM_THREADS="1")
+                           "--data", "data", "--out", "out"], run_dir, preexec_fn=pin)
         assert done.returncode == 0, done.stderr
         digests[name] = {str(path.relative_to(run_dir)): hashlib.sha256(path.read_bytes()).hexdigest()
                          for path in run_dir.rglob("*") if path.is_file() and path.name != "manifest.jsonl"}
@@ -331,7 +331,8 @@ def test_the_cpu_count_changes_no_output_byte(tmp_path):
 
 
 def test_label_imports_no_process_pool(tmp_path):
-    # generate starts its block workers by design; the loading stages must not even import a pool
+    # generate starts its block workers and timing its ridge CV workers by design; the loading
+    # stages must not even import a pool
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"synth": {"n_students": 200}}), encoding="utf-8")
     done = run_python(["-m", "attrition.cli", "generate", "--config", config, "--data", "data", "--out", "out"],
@@ -340,13 +341,22 @@ def test_label_imports_no_process_pool(tmp_path):
     script = (
         "import sys\n"
         "from attrition.cli import main\n"
-        "for stage in ('label', 'featurize', 'timing'):\n"
+        "for stage in ('label', 'featurize'):\n"
         f"    assert main([stage, '--config', {str(config)!r}, '--data', 'data', '--out', 'out']) == 0\n"
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
     )
     done = run_python(["-c", script], tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_the_package_runs_one_blas_thread(tmp_path, monkeypatch):
+    # importing numpy starts OpenBLAS's thread pool, one thread per CPU unless the count is set first
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    done = run_python(["-c", "import os, attrition.cli; print(len(os.listdir('/proc/self/task')))"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1\n"
 
 
 def _set_cpus(monkeypatch, pooled):

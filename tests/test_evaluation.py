@@ -190,8 +190,11 @@ def test_cv_tune_knn_means_equal_one_fit_per_k():
     assert means == expected
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="the folds run in workers only with two CPUs or more")
+TWO_CPUS = pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                              reason="the folds run in workers only with two CPUs or more")
+
+
+@TWO_CPUS
 @pytest.mark.parametrize("kind", ["random_forest", "knn"])
 def test_a_failing_worker_fold_raises_the_in_process_error(kind, monkeypatch):
     # a NaN row in fold 1's validation block: fold 1 scores, every later fold's training rows are refused
@@ -211,6 +214,43 @@ def test_a_failing_worker_fold_raises_the_in_process_error(kind, monkeypatch):
         cv_tune(x, y, kind, grid, folds=5, seed=19, forest_params=ForestParams(n_trees=3))
     assert in_process.value.__cause__.__cause__ is None
     assert str(pooled.value) == str(in_process.value) == f"{kind} fold 2/5: training data contains non-finite values"
+
+
+@TWO_CPUS
+@pytest.mark.parametrize("kind, grid", [("logistic_regression", [1e-3, 0.1, 10.0]), ("ridge", [0.0, 0.1, 10.0]),
+                                        ("random_forest", [1, 3, 6]), ("knn", [1, 5, 15])])
+def test_forked_and_in_process_cv_agree(kind, grid, monkeypatch):
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=(150, 8))
+    signal = x @ rng.normal(size=8)
+    y = (signal + rng.normal(size=150) if kind == "ridge"
+         else (rng.random(150) < 1 / (1 + np.exp(-signal))).astype(float))
+    if kind == "logistic_regression":
+        assert train_logistic(x, y, grid[0]).n_iterations >= 4  # several Newton steps, each a BLAS product
+    forked = cv_tune(x, y, kind, grid, folds=5, seed=21, forest_params=ForestParams(n_trees=5))
+    assert multiprocessing.active_children() == []
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert cv_tune(x, y, kind, grid, folds=5, seed=21, forest_params=ForestParams(n_trees=5)) == forked
+
+
+@TWO_CPUS
+def test_a_failing_logistic_worker_fold_names_kind_and_fold(monkeypatch):
+    # the positives are exactly fold 1's validation block, so fold 1 trains on one class
+    x = np.random.default_rng(22).normal(size=(40, 3))
+    y = np.zeros(40)
+    y[kfold_indices(40, 5, 23)[0]] = 1.0
+
+    with pytest.raises(ValueError) as pooled:
+        cv_tune(x, y, "logistic_regression", [0.1, 1.0], folds=5, seed=23)
+    assert multiprocessing.active_children() == []
+    assert pooled.value.__cause__.__cause__ is not None  # the worker's traceback
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with pytest.raises(ValueError) as in_process:
+        cv_tune(x, y, "logistic_regression", [0.1, 1.0], folds=5, seed=23)
+    assert str(pooled.value) == str(in_process.value) == (
+        "logistic_regression fold 1/5: logistic regression needs both classes present")
 
 
 def test_cv_tune_linear_means_equal_one_fit_per_value():
