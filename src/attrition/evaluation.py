@@ -138,29 +138,26 @@ def accuracy(
     return float(np.mean((scores >= threshold) == (labels > 0.5)))
 
 
-def _grid_scores(kind: str, grid: list, x_tr, y_tr, x_va, forest_seed: int, params: ForestParams):
-    """Validation scores of every value of the ascending grid, from one fold.
+def _grid_scores(f: int, kind: str, grid: list, x, y, fold_idx, forest_seeds, params: ForestParams) -> list:
+    """Validation scores of fold `f` for every value of the ascending grid, fitted on the other
+    folds' rows.
 
     One forest grown to the deepest depth is read at every depth in one
     traversal, and one neighbour sort per query serves every k; the linear
     models fit once per value.
     """
+    tr = np.setdiff1d(np.arange(len(y)), fold_idx[f], assume_unique=True)
+    x_tr, y_tr, x_va = x[tr], y[tr], x[fold_idx[f]]
     if kind == "logistic_regression":
         return [predict_proba(train_logistic(x_tr, y_tr, lam), x_va) for lam in grid]
     if kind == "knn":
         return list(knn_predict(fit_knn(x_tr, y_tr, grid[-1]), x_va, ks=grid))
     if kind == "random_forest":
-        forest = train_forest(x_tr, y_tr, replace(params, max_depth=grid[-1]), forest_seed)
+        forest = train_forest(x_tr, y_tr, replace(params, max_depth=grid[-1]), forest_seeds[f])
         return list(forest_predict(forest, x_va, depths=grid))
     if kind == "ridge":
         return [predict_linear(train_ridge(x_tr, y_tr, lam), x_va) for lam in grid]
     raise ValueError(f"unknown model kind {kind!r}")
-
-
-def _fold_grid_scores(f: int, kind: str, values: list, x, y, fold_idx, forest_seeds, params) -> list:
-    """`_grid_scores` of fold `f`, fitted on the other folds' rows."""
-    tr = np.setdiff1d(np.arange(len(y)), fold_idx[f], assume_unique=True)
-    return _grid_scores(kind, values, x[tr], y[tr], x[fold_idx[f]], forest_seeds[f], params)
 
 
 def cv_tune(
@@ -197,7 +194,7 @@ def cv_tune(
     shared = (kind, values, x, y, fold_idx, forest_seeds, params)
 
     fold_scores: list[list[float]] = [[] for _ in values]
-    with ordered_map(_fold_grid_scores, range(folds), shared) as results:
+    with ordered_map(_grid_scores, range(folds), shared) as results:
         for f, va in enumerate(fold_idx):
             try:
                 for per_value, scores in zip(fold_scores, next(results)):

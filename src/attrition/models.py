@@ -20,9 +20,10 @@ elements plus (node, feature, value) bins (a node with more is scored
 alone), so scratch memory does not grow with the number of open nodes. Each
 node has a 64-bit key, and its candidate features are those that score
 lowest in the key's splitmix64 stream (a counter-based draw, as in Salmon et
-al. 2011), so a level's draws are a few array operations. The splits,
-tie-breaks and depth-first node order are those of a node-by-node recursive
-grower.
+al. 2011), so a level's draws are a few array operations. The splits and
+tie-breaks are those of a node-by-node recursive grower. Each tree keeps its
+nodes in the order they were grown, level by level, so a split node's
+children sit side by side: `left` and `left + 1`.
 """
 
 from __future__ import annotations
@@ -253,8 +254,7 @@ class ForestParams:
 class _Tree:
     feature: np.ndarray  # -1 marks a leaf
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    left: np.ndarray  # a split node's children are left and left + 1
     prob: np.ndarray
 
 
@@ -388,7 +388,7 @@ def _grow_forest(
     x: np.ndarray, labels: np.ndarray, params: ForestParams,
     bootstraps: list[np.ndarray], root_keys: np.ndarray,
 ) -> list[_Tree]:
-    """Grow every tree one level at a time; nodes come out in depth-first preorder.
+    """Grow every tree one level at a time; each tree's nodes come out level by level.
 
     The open nodes of all trees keep their rows as consecutive segments of
     one flat array. Tree t's root has the 64-bit key root_keys[t]; outputs 0
@@ -400,7 +400,8 @@ def _grow_forest(
     feature, row) elements and (node, feature, value) bins each unless one
     node alone has more, so scratch memory stays bounded however many nodes
     are open; each split node's rows are then partitioned stably into its two
-    children.
+    children. The levels of all trees are then one table, which a stable sort
+    by tree splits into the trees, each numbered from its root.
     """
     n, d = x.shape
     nf = math.ceil(math.sqrt(d))
@@ -446,47 +447,20 @@ def _grow_forest(
         rows[np.arange(right.size) + np.cumsum(n_left)[seg[right]]] = node_rows[right]
         tree = np.repeat(tree[split], 2)
         key = _splitmix(key[split, None], np.arange(2, dtype=np.uint64)).ravel()
-    return _preorder_trees(levels)
-
-
-def _preorder_trees(levels: list[tuple[np.ndarray, ...]]) -> list[_Tree]:
-    """Trees from their nodes level by level, renumbered into depth-first preorder.
-
-    levels[k] is (tree, feature, threshold, prob) of the nodes at depth k;
-    the nodes of level k + 1 are the (left, right) children of the split
-    nodes (feature >= 0) of level k, in order. Subtree sizes are summed
-    bottom-up, then ids are given top-down: a left child follows its parent,
-    a right child follows the parent's left subtree.
-    """
-    sizes = [np.ones(len(levels[-1][0]), dtype=np.int64)]
-    for _, feature, _, _ in reversed(levels[:-1]):
-        size = np.ones(len(feature), dtype=np.int64)
-        below = sizes[-1]
-        size[feature >= 0] += below[0::2] + below[1::2]
-        sizes.append(size)
-    sizes.reverse()
-    pre = np.zeros(len(levels[0][0]), dtype=np.int64)
-    parts = []
-    for level, (tree, feature, threshold, prob) in enumerate(levels):
-        split = feature >= 0
-        left = np.full(len(feature), -1, dtype=np.int64)
-        right = left.copy()
-        left[split] = pre[split] + 1
-        if split.any():
-            right[split] = left[split] + sizes[level + 1][0::2]
-        parts.append((tree, pre, feature, threshold, left, right, prob))
-        pre = np.column_stack([left[split], right[split]]).ravel()
-
-    counts = sizes[0]
-    offset = np.cumsum(counts) - counts
-    cols = [np.concatenate(col) for col in zip(*parts)]
-    dest = offset[cols[0]] + cols[1]
-    out = []
-    for col in cols[2:]:
-        arr = np.empty_like(col)
-        arr[dest] = col
-        out.append(np.split(arr, np.cumsum(counts)[:-1]))
-    return [_Tree(*arrays) for arrays in zip(*out)]
+    tree, feature, threshold, prob = (np.concatenate(col) for col in zip(*levels))
+    # level k + 1 holds the (left, right) children of level k's split nodes in order, so the i-th
+    # split node of the whole table has its children at n_trees + 2i and n_trees + 2i + 1
+    split = feature >= 0
+    left = np.full(len(tree), -1, dtype=np.int64)
+    left[split] = len(bootstraps) + 2 * np.arange(np.count_nonzero(split))
+    order = np.argsort(tree, kind="stable")  # each tree's nodes, still level by level
+    counts = np.bincount(tree)
+    at = np.empty_like(order)
+    at[order] = _ranges(counts)[1]  # a node's place in its own tree
+    left[split] = at[left[split]]
+    ends = np.cumsum(counts)[:-1]
+    cols = (np.split(col[order], ends) for col in (feature, threshold, left, prob))
+    return [_Tree(*tree_cols) for tree_cols in zip(*cols)]
 
 
 def train_forest(
@@ -530,7 +504,7 @@ def _tree_predict(tree: _Tree, x: np.ndarray, depths: np.ndarray) -> np.ndarray:
             break
         at = node[live]
         goes_left = x[live, tree.feature[at]] <= tree.threshold[at]
-        node[live] = np.where(goes_left, tree.left[at], tree.right[at])
+        node[live] = tree.left[at] + ~goes_left
     return out
 
 
@@ -600,7 +574,6 @@ def model_to_dict(model: Model) -> dict:
                 "feature": [int(v) for v in t.feature],
                 "threshold": [float(v) for v in t.threshold],
                 "left": [int(v) for v in t.left],
-                "right": [int(v) for v in t.right],
                 "prob": [float(v) for v in t.prob],
             }
             for t in model.trees
@@ -609,19 +582,22 @@ def model_to_dict(model: Model) -> dict:
 
 
 def _tree_from_dict(t: dict, n_features: int) -> _Tree:
-    """A tree's node table: its five lists of one length, a feature in [-1, n_features) at every
-    node and each internal node's children inside the tree, or ValueError."""
+    """A tree's node table: exactly the lists feature, left, prob and threshold, of one length, a
+    feature in [-1, n_features) at every node and each internal node's children left and left + 1
+    inside the tree, or ValueError. A file with a `right` list numbers its nodes otherwise, so it is
+    refused too."""
+    if sorted(t) != ["feature", "left", "prob", "threshold"]:
+        raise ValueError(f"a tree with the lists {sorted(t)}, not feature, left, prob and threshold")
     tree = _Tree(
         np.array(t["feature"], dtype=np.int64),
         np.array(t["threshold"], dtype=float),
         np.array(t["left"], dtype=np.int64),
-        np.array(t["right"], dtype=np.int64),
         np.array(t["prob"], dtype=float),
     )
     n = len(tree.feature)
-    if (not n or any(len(a) != n for a in (tree.threshold, tree.left, tree.right, tree.prob))
+    if (not n or any(len(a) != n for a in (tree.threshold, tree.left, tree.prob))
             or tree.feature.min() < -1 or tree.feature.max() >= n_features
-            or not all(((c >= 0) & (c < n))[tree.feature >= 0].all() for c in (tree.left, tree.right))):
+            or not ((tree.left >= 0) & (tree.left + 1 < n))[tree.feature >= 0].all()):
         raise ValueError(f"a node table that does not fit one tree of {n_features} features")
     return tree
 
@@ -641,9 +617,12 @@ def model_from_dict(payload: dict, x_train: np.ndarray, y_train: np.ndarray) -> 
         return fit_knn(x_train, y_train, int(payload["k"]))
     if kind == "forest":
         n_features = int(payload["n_features"])
+        params = ForestParams(**payload["params"])
+        if len(payload["trees"]) != params.n_trees:
+            raise ValueError(f"{len(payload['trees'])} trees in a forest of n_trees={params.n_trees}")
         return ForestModel(
             trees=[_tree_from_dict(t, n_features) for t in payload["trees"]],
-            params=ForestParams(**payload["params"]),
+            params=params,
             seed=int(payload["seed"]),
             n_features=n_features,
         )

@@ -496,7 +496,7 @@ def test_forest_depth_limit_respected():
     def depth_of(tree, node=0):
         if tree.feature[node] < 0:
             return 0
-        return 1 + max(depth_of(tree, tree.left[node]), depth_of(tree, tree.right[node]))
+        return 1 + max(depth_of(tree, tree.left[node]), depth_of(tree, tree.left[node] + 1))
 
     for tree in model.trees:
         assert depth_of(tree) <= 3
@@ -510,7 +510,7 @@ def walk_to_leaves(model, queries):
             node = 0
             while tree.feature[node] >= 0:
                 go_left = q[tree.feature[node]] <= tree.threshold[node]
-                node = tree.left[node] if go_left else tree.right[node]
+                node = tree.left[node] + (not go_left)
             acc[i] += tree.prob[node]
     return acc / len(model.trees)
 
@@ -612,7 +612,8 @@ def _grow_tree(
     x: np.ndarray, y: np.ndarray, rows: np.ndarray, params: ForestParams,
     nf: int, root_key: int,
 ) -> _Tree:
-    """Grow one tree on the bootstrap `rows`, nodes in depth-first preorder.
+    """Grow one tree on the bootstrap `rows` node by node, depth first, then number it breadth
+    first (`breadth_first`).
 
     The root has key `root_key`, and a node with key k gives its children
     the keys splitmix(k, 0) and splitmix(k, 1) and draws its features by
@@ -660,12 +661,22 @@ def _grow_tree(
         return idx
 
     build(rows, 0, root_key)
+    return breadth_first(feature, threshold, left, right, prob)
+
+
+def breadth_first(feature, threshold, left, right, prob) -> _Tree:
+    """A node table with children at `left` and `right`, renumbered level by level from the root,
+    each split node's children in (left, right) order, so that they are left and left + 1."""
+    order = [0]
+    for node in order:  # the list grows as it is walked: a queue
+        if feature[node] >= 0:
+            order += [left[node], right[node]]
+    place = {node: i for i, node in enumerate(order)}
     return _Tree(
-        np.array(feature, dtype=np.int64),
-        np.array(threshold, dtype=float),
-        np.array(left, dtype=np.int64),
-        np.array(right, dtype=np.int64),
-        np.array(prob, dtype=float),
+        np.array([feature[i] for i in order], dtype=np.int64),
+        np.array([threshold[i] for i in order], dtype=float),
+        np.array([place[left[i]] if feature[i] >= 0 else -1 for i in order], dtype=np.int64),
+        np.array([prob[i] for i in order], dtype=float),
     )
 
 
@@ -735,9 +746,9 @@ def test_level_wise_forest_equals_reference_past_depth_63():
     grown = assert_same_forest(x, y, ForestParams(n_trees=1, max_depth=100), seed=1)
     tree = grown["trees"][0]
     depth = [0] * len(tree["feature"])
-    for node, (left, right) in enumerate(zip(tree["left"], tree["right"])):
+    for node, left in enumerate(tree["left"]):
         if left >= 0:
-            depth[left] = depth[right] = depth[node] + 1
+            depth[left] = depth[left + 1] = depth[node] + 1
     assert max(depth) > 63
 
 
@@ -753,9 +764,9 @@ def test_level_wise_forest_equals_reference_when_values_outnumber_rows(min_leaf)
     depth = []
     for tree in grown["trees"]:
         level = {0: 0}
-        for node, (left, right) in enumerate(zip(tree["left"], tree["right"])):
+        for node, left in enumerate(tree["left"]):
             if left >= 0:
-                level[left] = level[right] = level[node] + 1
+                level[left] = level[left + 1] = level[node] + 1
         depth.append(max(level.values()))
     assert max(depth) == 12
 
@@ -910,23 +921,28 @@ def test_model_dict_round_trip_all_kinds():
         assert model_to_dict(rebuilt) == payload
 
 
-@pytest.mark.parametrize("edit", [
-    lambda t: t["left"].__setitem__(0, len(t["left"])),
-    lambda t: t["right"].__setitem__(0, -1),
-    lambda t: t["feature"].__setitem__(0, 2),
-    lambda t: t["feature"].__setitem__(0, -2),
-    lambda t: t["prob"].pop(),
-    lambda t: t["right"].pop(),
-    lambda t: [t[key].clear() for key in t],
+UNFIT = "does not fit one tree of 2 features"
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda t: t["left"].__setitem__(0, len(t["left"]) - 1), UNFIT),
+    (lambda t: t["left"].__setitem__(0, -1), UNFIT),
+    (lambda t: t["feature"].__setitem__(0, 2), UNFIT),
+    (lambda t: t["feature"].__setitem__(0, -2), UNFIT),
+    (lambda t: t["prob"].pop(), UNFIT),
+    (lambda t: t["left"].pop(), UNFIT),
+    (lambda t: [t[key].clear() for key in t], UNFIT),
+    # a file whose nodes are in depth-first preorder, each right child in a list of its own
+    (lambda t: t.update(right=[c + 1 if c >= 0 else -1 for c in t["left"]]), "not feature, left, prob"),
 ], ids=["child-past-the-end", "leaf-child-of-a-split", "feature-past-n_features", "feature-below-leaf",
-        "short-prob", "short-right", "no-nodes"])
-def test_a_forest_node_table_that_does_not_fit_its_tree_is_refused(edit):
+        "short-prob", "short-left", "no-nodes", "a-right-list"])
+def test_a_forest_node_table_that_does_not_fit_its_tree_is_refused(edit, reason):
     x = np.array([[0.0, 5.0], [1.0, 4.0], [2.0, 3.0], [3.0, 2.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
     payload = model_to_dict(train_forest(x, y, ForestParams(n_trees=1, max_depth=2), seed=5))
     assert payload["trees"][0]["feature"][0] >= 0  # the root splits
     edit(payload["trees"][0])
-    with pytest.raises(ValueError, match="does not fit one tree of 2 features"):
+    with pytest.raises(ValueError, match=reason):
         model_from_dict(payload, x, y)
 
 
