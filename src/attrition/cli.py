@@ -185,13 +185,14 @@ def _read_labels(run: _Run) -> dict[str, OutcomeLabel]:
 
 
 def _read_features(run: _Run, labels: dict[str, OutcomeLabel]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """features.csv: its student ids, raw matrix and targets from `labels`."""
+    """features.csv: its student ids, raw matrix and targets from `labels`. Each row is parsed into
+    its own float64 array, so no list of Python floats outlives its row."""
     ids: list[str] = []
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     with run.reading("features.csv", "featurize") as path:
         for row in read_csv(path):
             ids.append(row.pop("student_id"))
-            rows.append([float(v) for v in row.values()])
+            rows.append(np.array([float(v) for v in row.values()]))
         return ids, np.array(rows), np.array([0.0 if labels[i].graduated else 1.0 for i in ids])
 
 

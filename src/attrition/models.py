@@ -1,14 +1,14 @@
 """From-scratch learners: regularized logistic/ridge regression, kNN, random forest.
 
 Logistic regression runs damped Newton steps (IRLS) from zero: each step
-solves the (d+1)^2 Hessian against the gradient by least squares, so a
-singular Hessian (a constant column at lambda = 0) still gives finite
-weights, and halves the step until the Armijo rule holds, so the loss is
-non-increasing at every accepted iterate. It stops at gradient max-norm
-< 1e-9, after 50 steps (a separable column) or when no halved step lowers
-the loss; 2-6 steps are typical. Ridge regression has a closed form and is
-solved exactly by least squares. All trainers are deterministic functions of
-(data, hyperparameters, seed).
+solves the (d+1)^2 Hessian against the gradient, by LU where lambda > 0 makes
+it positive definite and by least squares at lambda = 0, so a singular
+Hessian (a constant column) still gives finite weights, and halves the step
+until the Armijo rule holds, so the loss is non-increasing at every accepted
+iterate. It stops at gradient max-norm < 1e-9, after 50 steps (a separable
+column) or when no halved step lowers the loss; 2-6 steps are typical.
+Ridge regression has a closed form and is solved exactly by least squares.
+All trainers are deterministic functions of (data, hyperparameters, seed).
 
 The random forest grows all of its trees together, one level at a time
 (level-synchronous, as in SLIQ and SPRINT). Each column is ranked once per
@@ -94,17 +94,29 @@ def logistic_objective(
     return loss, grad
 
 
+def _newton_direction(hessian: np.ndarray, grad: np.ndarray, regularization: float) -> np.ndarray:
+    """The Newton direction hessian^-1 grad. For lambda > 0 the Hessian is positive definite: the
+    penalty covers every weight and the intercept's curvature is mean(p(1 - p)) > 0, so LU solves
+    it. At lambda = 0, or where LU finds it singular in floating point, least squares does."""
+    if regularization > 0:
+        try:
+            return np.linalg.solve(hessian, grad)
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.lstsq(hessian, grad, rcond=None)[0]
+
+
 def train_logistic(x: np.ndarray, y: np.ndarray, regularization: float) -> LinearModel:
     """L2-regularized logistic regression by damped Newton steps from zero.
 
     Minimizes `logistic_objective` (mean log-loss + (lambda/2) * ||w||^2 with
     an unpenalized intercept). Each step solves the Hessian
     X1^T diag(p(1-p)) X1 / n + lambda * diag(1, ..., 1, 0), with X1 = [X, 1],
-    against the gradient; the module docstring gives the stopping rules.
+    against the gradient (`_newton_direction`); the module docstring gives
+    the stopping rules.
     """
     x, y = _check_design(x, y)
-    classes = np.unique(y)
-    if len(classes) < 2:
+    if (y == y[0]).all():  # comparisons, not np.unique, which imports numpy.ma on first use
         raise ValueError("logistic regression needs both classes present")
     if regularization < 0:
         raise ValueError("regularization strength must be non-negative")
@@ -117,7 +129,7 @@ def train_logistic(x: np.ndarray, y: np.ndarray, regularization: float) -> Linea
     while len(history) <= _MAX_NEWTON_STEPS and np.abs(grad).max() >= _TOL:
         p = _sigmoid(x1 @ theta)
         hessian = (x1.T * (p * (1.0 - p))) @ x1 / n + penalty
-        direction = np.linalg.lstsq(hessian, grad, rcond=None)[0]
+        direction = _newton_direction(hessian, grad, regularization)
         decrease = _ARMIJO_C * float(grad @ direction)
         step = 1.0
         for _ in range(60):
@@ -473,11 +485,10 @@ def train_forest(
     draw. All trees are grown together, one level at a time (`_grow_forest`).
     """
     x, y = _check_design(x, y)
-    classes = np.unique(y)
-    if len(classes) < 2:
+    if (y == y[0]).all():
         raise ValueError("random forest needs both classes present")
-    if classes.tolist() != [0.0, 1.0]:
-        raise ValueError(f"random forest labels must be 0 or 1, got {classes.tolist()}")
+    if ((y != 0) & (y != 1)).any():
+        raise ValueError(f"random forest labels must be 0 or 1, got {sorted(set(y.tolist()))}")
     n, d = x.shape
     seeds = np.random.SeedSequence(seed).spawn(params.n_trees)
     bootstraps = [np.random.default_rng(tree_seed).integers(0, n, size=n) for tree_seed in seeds]
@@ -584,8 +595,8 @@ def model_to_dict(model: Model) -> dict:
 def _tree_from_dict(t: dict, n_features: int) -> _Tree:
     """A tree's node table: exactly the lists feature, left, prob and threshold, of one length, a
     feature in [-1, n_features) at every node and each internal node's children left and left + 1
-    inside the tree, or ValueError. A file with a `right` list numbers its nodes otherwise, so it is
-    refused too."""
+    after it (level order) and inside the tree, or ValueError. A file with a `right` list numbers its
+    nodes otherwise, so it is refused too."""
     if sorted(t) != ["feature", "left", "prob", "threshold"]:
         raise ValueError(f"a tree with the lists {sorted(t)}, not feature, left, prob and threshold")
     tree = _Tree(
@@ -597,7 +608,7 @@ def _tree_from_dict(t: dict, n_features: int) -> _Tree:
     n = len(tree.feature)
     if (not n or any(len(a) != n for a in (tree.threshold, tree.left, tree.prob))
             or tree.feature.min() < -1 or tree.feature.max() >= n_features
-            or not ((tree.left >= 0) & (tree.left + 1 < n))[tree.feature >= 0].all()):
+            or not ((tree.left > np.arange(n)) & (tree.left + 1 < n))[tree.feature >= 0].all()):
         raise ValueError(f"a node table that does not fit one tree of {n_features} features")
     return tree
 

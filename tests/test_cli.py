@@ -439,6 +439,13 @@ def child_out_of_range(forest):
     tree["left"][node] = len(tree["left"])
 
 
+def child_at_its_parent(forest):
+    """Point a split node's `left` at the node itself, which level order never does."""
+    tree = forest["trees"][0]
+    node = next(i for i, feature in enumerate(tree["feature"]) if feature >= 0)
+    tree["left"][node] = node
+
+
 def preorder_right_list(forest):
     """Give every tree the `right` list that a forest file with its nodes in depth-first preorder has."""
     for tree in forest["trees"]:
@@ -462,14 +469,15 @@ def preorder_right_list(forest):
         ("schema.json", "featurize", edit_payload(lambda m: m["sds"].pop())),
         ("model_knn.json", "train", edit_payload(lambda m: m.update(k=999))),
         ("model_random_forest.json", "train", edit_payload(child_out_of_range)),
+        ("model_random_forest.json", "train", edit_payload(child_at_its_parent)),
         ("model_random_forest.json", "train", edit_payload(lambda m: m["trees"][0]["left"].pop())),
         ("model_random_forest.json", "train", edit_payload(preorder_right_list)),
         ("model_random_forest.json", "train", edit_payload(lambda m: m.update(trees=[]))),
     ],
     ids=["forest-old-params", "logistic-no-weights", "labels-no-window_allowance", "labels-non-numeric",
          "features-no-student_id", "features-short-row", "split-no-student_id", "schema-no-means",
-         "schema-short-sds", "knn-k-beyond-rows", "forest-child-out-of-range", "forest-short-left",
-         "forest-preorder-right-list", "forest-no-trees"],
+         "schema-short-sds", "knn-k-beyond-rows", "forest-child-out-of-range", "forest-left-backwards",
+         "forest-short-left", "forest-preorder-right-list", "forest-no-trees"],
 )
 def test_unreadable_model_file_names_file_and_train(tmp_path, capsys, filename, producer, edit):
     config = write_config(tmp_path)

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from attrition.models import (
     KnnModel,
     _CHUNK_ELEMENTS,
     _draw_features,
+    _sigmoid,
     _Tree,
     fit_knn,
     forest_predict,
@@ -193,6 +198,96 @@ def test_newton_single_column_edge_cases_give_finite_weights():
     assert np.isfinite(model.weights).all() and math.isfinite(model.intercept)
     assert model.weights[0] > 0
     assert (np.diff(model.loss_history) <= 0).all()
+
+
+def lstsq_newton_reference(x, y, regularization):
+    """The Newton loop as it ran before the LU step: `lstsq` solves every Newton system.
+
+    Returns (theta, n_iterations, loss history)."""
+    n, d = x.shape
+    x1 = np.hstack([x, np.ones((n, 1))])
+    penalty = np.diag(np.append(np.full(d, float(regularization)), 0.0))
+    theta = np.zeros(d + 1)
+    loss, grad = logistic_objective(x, y, regularization, theta)
+    history = [loss]
+    while len(history) <= 50 and np.abs(grad).max() >= 1e-9:
+        p = _sigmoid(x1 @ theta)
+        hessian = (x1.T * (p * (1.0 - p))) @ x1 / n + penalty
+        direction = np.linalg.lstsq(hessian, grad, rcond=None)[0]
+        decrease = 1e-4 * float(grad @ direction)
+        step = 1.0
+        for _ in range(60):
+            candidate = theta - step * direction
+            cand_loss, cand_grad = logistic_objective(x, y, regularization, candidate)
+            if cand_loss <= loss - step * decrease:
+                break
+            step *= 0.5
+        else:
+            break
+        theta, loss, grad = candidate, cand_loss, cand_grad
+        history.append(loss)
+    return theta, len(history) - 1, history
+
+
+def newton_oracle_data(kind):
+    rng = np.random.default_rng(30)
+    x = rng.normal(size=(80, 6))
+    y = (x @ rng.normal(size=6) + rng.logistic(size=80) > 0).astype(float)
+    if kind == "zero-column":
+        x[:, 2] = 0.0
+    if kind == "duplicated-columns":
+        x[:, 1], x[:, 4] = x[:, 0], x[:, 3]
+    if kind == "separable":
+        y = (x[:, 0] + 0.5 * x[:, 1] > 0).astype(float)
+    return x, y
+
+
+@pytest.mark.parametrize("kind", ["random", "zero-column", "duplicated-columns", "separable"])
+def test_newton_step_equals_the_lstsq_reference(kind):
+    x, y = newton_oracle_data(kind)
+
+    def identified(theta):
+        # two equal columns fix only the sum of their weights; along w_i - w_j the curvature is lambda,
+        # so at lambda = 1e-12 either solver's split of the sum is off by about eps / lambda (2.7e-6)
+        if kind != "duplicated-columns":
+            return theta
+        return np.array([theta[0] + theta[1], theta[2], theta[3] + theta[4], theta[5], theta[6]])
+
+    for lam in (0.0, 1e-300, 1e-12, 1e-4, 1.0, 1e6):
+        model = train_logistic(x, y, lam)
+        theta = np.append(model.weights, model.intercept)
+        ref_theta, ref_iterations, ref_history = lstsq_newton_reference(x, y, lam)
+        assert model.n_iterations == ref_iterations, lam
+        if lam == 0.0 or (kind == "duplicated-columns" and lam == 1e-300):
+            # lstsq at lambda = 0, and where LU finds the Hessian singular: the same bits
+            assert theta.tobytes() == ref_theta.tobytes(), lam
+            assert model.loss_history == ref_history, lam
+        else:
+            bound = 1e-9 * max(1.0, np.abs(ref_theta).max())
+            assert np.abs(identified(theta) - identified(ref_theta)).max() <= bound, lam
+            assert np.abs(np.subtract(model.loss_history, ref_history)).max() <= 1e-12, lam
+
+
+def test_fitting_both_models_imports_no_numpy_ma():
+    # np.unique imports numpy.ma on first use in numpy 2.x (15-17 ms and 0.4 MB per process)
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "from attrition.models import ForestParams, train_forest, train_logistic\n"
+        "x, y = np.arange(8.0)[:, None], np.array([0.0, 1.0] * 4)\n"
+        "train_logistic(x, y, 0.1)\n"
+        "train_forest(x, y, ForestParams(n_trees=2), seed=0)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    at_import, after_fits = done.stdout.split()
+    if at_import == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert after_fits == "False"
 
 
 def test_weight_norm_decreases_with_regularization():
@@ -927,6 +1022,7 @@ UNFIT = "does not fit one tree of 2 features"
 @pytest.mark.parametrize("edit, reason", [
     (lambda t: t["left"].__setitem__(0, len(t["left"]) - 1), UNFIT),
     (lambda t: t["left"].__setitem__(0, -1), UNFIT),
+    (lambda t: t["left"].__setitem__(0, 0), UNFIT),
     (lambda t: t["feature"].__setitem__(0, 2), UNFIT),
     (lambda t: t["feature"].__setitem__(0, -2), UNFIT),
     (lambda t: t["prob"].pop(), UNFIT),
@@ -934,8 +1030,8 @@ UNFIT = "does not fit one tree of 2 features"
     (lambda t: [t[key].clear() for key in t], UNFIT),
     # a file whose nodes are in depth-first preorder, each right child in a list of its own
     (lambda t: t.update(right=[c + 1 if c >= 0 else -1 for c in t["left"]]), "not feature, left, prob"),
-], ids=["child-past-the-end", "leaf-child-of-a-split", "feature-past-n_features", "feature-below-leaf",
-        "short-prob", "short-left", "no-nodes", "a-right-list"])
+], ids=["child-past-the-end", "leaf-child-of-a-split", "child-at-its-parent", "feature-past-n_features",
+        "feature-below-leaf", "short-prob", "short-left", "no-nodes", "a-right-list"])
 def test_a_forest_node_table_that_does_not_fit_its_tree_is_refused(edit, reason):
     x = np.array([[0.0, 5.0], [1.0, 4.0], [2.0, 3.0], [3.0, 2.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
