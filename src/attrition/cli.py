@@ -32,10 +32,9 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .evaluation import (
-    EvalReport,
-    ModelEval,
     accuracy,
     cv_tune,
+    kfold_indices,
     roc_and_auc,
     screen_features,
     split,
@@ -223,7 +222,6 @@ def stage_generate(cfg: RunConfig) -> list[Path]:
     header. The block count is a multiple of the CPU count, so no CPU idles while another draws a
     last block. A block is a slice of the whole cohort, so the bytes do not depend on the CPU count."""
     run = _Run("generate", cfg)
-    synthetic.signal_kinds(cfg.synth)  # a config error stops the stage before any worker starts
     n = cfg.synth.n_students
     cpus = usable_cpus()
     count = min(n, cpus * -(-n // (cpus * BLOCK_STUDENTS)))
@@ -302,31 +300,23 @@ def stage_train(cfg: RunConfig) -> list[Path]:
     x_tr_std, x_tr_raw, y_tr = x_std[is_train], x_raw[is_train], y[is_train]
     out_dir = Path(cfg.out_dir)
 
-    lam, lr_means = cv_tune(x_tr_std, y_tr, "logistic_regression", cfg.lr_lambda_grid,
-                            folds=cfg.cv_folds, seed=cfg.cv_seed)
-    lr = train_logistic(x_tr_std, y_tr, lam)
-
-    fold_train_size = (len(y_tr) * (cfg.cv_folds - 1)) // cfg.cv_folds
-    k_grid = [k for k in cfg.knn_k_grid if k <= fold_train_size] or [1]
-    k, knn_means = cv_tune(x_tr_std, y_tr, "knn", k_grid, folds=cfg.cv_folds, seed=cfg.cv_seed)
-    knn = fit_knn(x_tr_std, y_tr, k)
-
-    depth, forest_means = cv_tune(x_tr_raw, y_tr, "random_forest", cfg.forest_depth_grid,
-                                  folds=cfg.cv_folds, seed=cfg.cv_seed,
-                                  forest_params=cfg.forest_params(max(cfg.forest_depth_grid)))
-    forest = train_forest(x_tr_raw, y_tr, cfg.forest_params(depth), cfg.cv_seed)
-
+    fold_fit_size = len(y_tr) - max(map(len, kfold_indices(len(y_tr), cfg.cv_folds, cfg.cv_seed)))
+    learners = (  # name, training matrix, grid, fit at the chosen value
+        ("logistic_regression", x_tr_std, cfg.lr_lambda_grid, lambda lam: train_logistic(x_tr_std, y_tr, lam)),
+        ("knn", x_tr_std, [k for k in cfg.knn_k_grid if k <= fold_fit_size] or [1],
+         lambda k: fit_knn(x_tr_std, y_tr, k)),
+        ("random_forest", x_tr_raw, cfg.forest_depth_grid,
+         lambda depth: train_forest(x_tr_raw, y_tr, cfg.forest_params(depth), cfg.cv_seed)),
+    )
     outputs = []
-    for name, model in (("logistic_regression", lr), ("random_forest", forest), ("knn", knn)):
-        path = out_dir / MODEL_FILES[name]
-        save_model(model, path)
-        outputs.append(path)
-    for name, chosen, means in (("logistic_regression", lam, lr_means), ("knn", k, knn_means),
-                                ("random_forest", depth, forest_means)):
-        path = out_dir / f"cv_{name}.csv"
-        write_csv(path, ["value", "mean_score", "chosen"],
+    for name, x_tr, grid, fit in learners:
+        chosen, means = cv_tune(x_tr, y_tr, name, grid, folds=cfg.cv_folds, seed=cfg.cv_seed,
+                                forest_params=cfg.forest_params(max(cfg.forest_depth_grid)))
+        model_path, cv_path = out_dir / MODEL_FILES[name], out_dir / f"cv_{name}.csv"
+        save_model(fit(chosen), model_path)
+        write_csv(cv_path, ["value", "mean_score", "chosen"],
                   ([value, score, int(value == chosen)] for value, score in means.items()))
-        outputs.append(path)
+        outputs += [model_path, cv_path]
     run.manifest(outputs)
     return outputs
 
@@ -343,7 +333,7 @@ def stage_evaluate(cfg: RunConfig) -> list[Path]:
         with run.reading(filename, "train") as path:  # kNN is refit on the rows 'train' fitted it on
             models[name] = load_model(path, x_tr_std, y_tr)
 
-    report_models: dict[str, ModelEval] = {}
+    report_models = {}
     outputs = []
     for name, model in models.items():
         x_te = x_te_raw if name == "random_forest" else x_te_std
@@ -355,14 +345,13 @@ def stage_evaluate(cfg: RunConfig) -> list[Path]:
             hyper = {"k": model.k}
         else:
             hyper = {"max_depth": model.params.max_depth, "n_trees": model.params.n_trees}
-        report_models[name] = ModelEval(accuracy(scores, y_te), auc, hyper)
+        report_models[name] = {"accuracy": accuracy(scores, y_te), "auc": auc, "hyperparameters": hyper}
         roc_path = out_dir / f"roc_{name}.csv"
         write_csv(roc_path, ["fpr", "tpr", "threshold"], points)
         outputs.append(roc_path)
 
-    report = EvalReport(report_models, cfg.split_seed)
     report_path = out_dir / "report.json"
-    write_json(report_path, asdict(report))
+    write_json(report_path, {"models": report_models, "split_seed": cfg.split_seed})
     outputs.insert(0, report_path)
     run.manifest(outputs)
     return outputs

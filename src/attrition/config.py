@@ -13,7 +13,7 @@ from pathlib import Path
 from .features import DEFAULT_GATEKEEPER_DEPARTMENTS, FeatureConfig
 from .io import read_json
 from .models import ForestParams
-from .synthetic import SynthConfig, config_kwargs
+from .synthetic import SynthConfig, config_kwargs, signal_kinds
 
 
 def _default_knn_grid() -> tuple[int, ...]:
@@ -62,6 +62,8 @@ class RunConfig:
             if not all(isinstance(v, (int, float)) and ok(v) for v in grid):
                 raise ValueError(f"{name} values must be {rule}, got {list(grid)}")
         self.feature_config()  # FeatureConfig owns the feature fields' rules
+        self.forest_params(max(self.forest_depth_grid))  # ForestParams the forest fields'
+        signal_kinds(self.synth)  # and the generator the signal weight keys
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":

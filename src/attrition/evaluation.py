@@ -35,19 +35,6 @@ from .models import (
 from .workers import ordered_map
 
 @dataclass(frozen=True)
-class ModelEval:
-    accuracy: float
-    auc: float
-    hyperparameters: dict
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    models: dict[str, ModelEval]
-    split_seed: int
-
-
-@dataclass(frozen=True)
 class ScreenRow:
     feature: str
     accuracy: float

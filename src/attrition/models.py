@@ -169,14 +169,17 @@ def train_ridge(x: np.ndarray, y: np.ndarray, regularization: float) -> LinearMo
     return LinearModel(w, b, regularization, "regression")
 
 
-def predict_linear(model: LinearModel, x: np.ndarray) -> np.ndarray | float:
+def _queries(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
+    """Query rows as a float matrix of width `d`, and whether `x` was one 1-D query."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
     mat = np.atleast_2d(x)
-    if mat.shape[1] != model.weights.shape[0]:
-        raise ValueError(
-            f"feature length {mat.shape[1]} does not match model dimension {model.weights.shape[0]}"
-        )
+    if mat.shape[1] != d:
+        raise ValueError(f"feature length {mat.shape[1]} does not match model dimension {d}")
+    return mat, x.ndim == 1
+
+
+def predict_linear(model: LinearModel, x: np.ndarray) -> np.ndarray | float:
+    mat, single = _queries(x, model.weights.shape[0])
     z = mat @ model.weights + model.intercept
     return float(z[0]) if single else z
 
@@ -224,13 +227,7 @@ def knn_predict(
     labels are 0/1, so the prefix sum over the first k neighbours is exact
     and each score equals the mean of those k labels.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    queries = np.atleast_2d(x)
-    if queries.shape[1] != model.x_train.shape[1]:
-        raise ValueError(
-            f"query length {queries.shape[1]} does not match training dimension {model.x_train.shape[1]}"
-        )
+    queries, single = _queries(x, model.x_train.shape[1])
     k_arr = np.array([model.k] if ks is None else ks, dtype=np.int64)
     if ((k_arr < 1) | (k_arr % 2 == 0) | (k_arr > model.k)).any():
         raise ValueError(f"every k must be a positive odd integer at most {model.k}, got {k_arr.tolist()}")
@@ -256,10 +253,9 @@ class ForestParams:
     min_samples_leaf: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_trees < 1 or self.max_depth < 1:
-            raise ValueError("n_trees and max_depth must be positive")
-        if self.min_samples_split < 2 or self.min_samples_leaf < 1:
-            raise ValueError("bad minimum node sizes")
+        for name, least in (("n_trees", 1), ("max_depth", 1), ("min_samples_split", 2), ("min_samples_leaf", 1)):
+            if (value := getattr(self, name)) < least:
+                raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 @dataclass
@@ -530,13 +526,7 @@ def forest_predict(
     draws its features by its place in the tree, so row i equals, bit for
     bit, the forest grown to depths[i] from the same data and seed.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    mat = np.atleast_2d(x)
-    if mat.shape[1] != model.n_features:
-        raise ValueError(
-            f"feature length {mat.shape[1]} does not match model dimension {model.n_features}"
-        )
+    mat, single = _queries(x, model.n_features)
     max_depth = model.params.max_depth
     d_arr = np.array([max_depth] if depths is None else depths, dtype=np.int64)
     if ((d_arr < 1) | (d_arr > max_depth)).any():

@@ -359,6 +359,14 @@ def test_the_package_runs_one_blas_thread(tmp_path, monkeypatch):
     assert done.stdout == "1\n"
 
 
+def test_the_package_root_sets_the_blas_threads_and_loads_no_numpy(tmp_path, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    done = run_python(["-c", "import os, sys, attrition; print(os.environ['OPENBLAS_NUM_THREADS'], 'numpy' in sys.modules)"],
+                      tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1 False\n"
+
+
 def _set_cpus(monkeypatch, pooled):
     if pooled:
         if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:

@@ -125,6 +125,9 @@ def test_feature_fields_at_their_limits_are_accepted():
     ({"forest_n_trees": "5"}, "forest_n_trees must be an integer, got '5'"),
     ({"synth": {"degree_credits": False}}, "degree_credits must be a number, got False"),
     ({"data_dir": 5}, "data_dir must be a string, got 5"),
+    ({"forest_n_trees": 0}, "n_trees must be >= 1, got 0"),
+    ({"forest_min_samples_leaf": 0}, "min_samples_leaf must be >= 1, got 0"),
+    ({"synth": {"signal_weights": {"bogus": 1}}}, "unknown signal weight key 'bogus'"),
 ])
 @pytest.mark.parametrize("stage", ["generate", "train"])
 def test_bad_config_value_stops_every_stage_in_one_line(tmp_path, capsys, raw, message, stage):

@@ -328,6 +328,13 @@ def test_predict_length_mismatch():
     model = train_logistic(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), 0.5)
     with pytest.raises(ValueError, match="does not match"):
         predict_proba(model, np.zeros(3))
+    # every predictor refuses one query (1-D) or a matrix (2-D) of the wrong width, before any work
+    x, y = np.arange(8.0).reshape(4, 2), np.array([0.0, 1.0, 0.0, 1.0])
+    for predict, fitted in ((predict_proba, train_logistic(x, y, 0.5)), (knn_predict, fit_knn(x, y, 3)),
+                            (forest_predict, train_forest(x, y, ForestParams(n_trees=2), seed=0))):
+        for queries in (np.zeros(3), np.zeros((2, 3))):
+            with pytest.raises(ValueError, match="feature length 3 does not match model dimension 2"):
+                predict(fitted, queries)
 
 
 # ---------------------------------------------------------------------------
